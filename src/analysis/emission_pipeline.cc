@@ -115,9 +115,8 @@ void EmissionPipeline::ConsumerLoop() {
     if (batch.profile) {
       start = std::chrono::steady_clock::now();
     }
-    // Exactly the coordinator's synchronous sequence: runs in submission
-    // (ascending shard) order, then the watermark advance that emits,
-    // hashes and feeds the emit hook. Byte-identical output follows.
+    // Runs in submission (ascending shard) order, then the watermark
+    // advance that emits, hashes and feeds the emit hook.
     for (ShardRun& sr : batch.runs) {
       merger_->OnRun(sr.shard, std::move(sr.run));
     }

@@ -1,26 +1,23 @@
-// Off-barrier emission: the merge/regression/spill backend moved off the
-// window critical path onto a dedicated consumer thread.
+// Off-barrier emission: the merge/regression/spill backend of a streamed
+// sharded run, on a dedicated consumer thread off the window critical
+// path.
 //
-// The parallel barrier pipeline (PR 5) left one serial stage inside every
-// window barrier: the coordinator's k-way hand-off — OnRun ingest of each
-// shard's pre-merged run, the watermark advance that emits (and hashes,
-// and spills, and feeds the streaming regression) everything below the
-// barrier. At 16 384 motes that is ~2.6 ms p99 per window during which no
-// shard may start the next window. Nothing in that stage touches
-// simulated state, so nothing forces it to run *inside* the barrier: the
-// runs are sealed, the watermark is final, and the next window cannot
-// change either.
+// Each window ends with the shards' pre-merged runs sealed and a new
+// watermark final. Merging them — OnRun ingest of each run, then the
+// watermark advance that emits (and hashes, and spills, and feeds the
+// streaming regression) everything below the barrier — touches no
+// simulated state, so nothing forces it to run *inside* the barrier,
+// where at 16 384 motes it would hold every shard for milliseconds per
+// window.
 //
-// EmissionPipeline is the decoupling. At the barrier the coordinator
-// hands the window's runs plus the new watermark to a bounded queue and
-// immediately releases the shards into the next window; the consumer
-// thread drains the queue in FIFO order, performing exactly the calls the
-// coordinator used to make — OnRun per run in ascending shard order, then
-// AdvanceWatermark — so the emitted sequence, FNV fingerprint, spill
-// bytes and regression feed are byte-identical to the synchronous path.
-// Run buffers retire through the merger's freelist into a shared return
-// queue and flow back to the shard builders at the next barrier, keeping
-// the steady state allocation-free end to end.
+// At the barrier the coordinator hands the window's runs plus the new
+// watermark to a bounded queue and immediately releases the shards into
+// the next window; the consumer thread drains the queue in FIFO order —
+// OnRun per run in ascending shard order, then AdvanceWatermark — so the
+// emitted sequence depends only on what was submitted, never on thread
+// timing. Run buffers retire through the merger's freelist into a shared
+// return queue and flow back to the shard builders at the next barrier,
+// keeping the steady state allocation-free end to end.
 //
 // Ownership and thread discipline:
 //  * The merger (and everything reachable from its emit hook — the
@@ -76,10 +73,10 @@ class EmissionPipeline {
   // Windows the queue may hold before SubmitWindow blocks the producer.
   static constexpr size_t kDefaultMaxDepth = 4;
 
-  // The pipeline does not own the merger object (callers keep building
-  // mergers and emit hooks exactly as on the synchronous path) but owns
-  // exclusive access to it while running — see the thread discipline
-  // above. Spawns the consumer thread immediately.
+  // The pipeline does not own the merger object (callers build the merger
+  // and its emit hook) but owns exclusive access to it while running —
+  // see the thread discipline above. Spawns the consumer thread
+  // immediately.
   explicit EmissionPipeline(StreamingTraceMerger* merger,
                             size_t max_depth = kDefaultMaxDepth);
   // Finishes the remaining queue, then joins the consumer.
@@ -88,7 +85,6 @@ class EmissionPipeline {
   EmissionPipeline(const EmissionPipeline&) = delete;
   EmissionPipeline& operator=(const EmissionPipeline&) = delete;
 
-  StreamingTraceMerger* merger() { return merger_; }
   size_t max_depth() const { return max_depth_; }
 
   // Hands one window to the consumer: the window's runs (ascending shard
@@ -104,8 +100,7 @@ class EmissionPipeline {
   // Producer-side freelists: run buffers the consumer fully emitted
   // (cleared, capacity intact) ready to back the builders' next BuildRun,
   // and consumed batch vectors ready for the next SubmitWindow. Both
-  // return false when empty — the producer then starts fresh, exactly as
-  // the synchronous TakeRetiredRun path does.
+  // return false when empty — the producer then starts fresh.
   bool TakeRetiredRun(std::vector<MergedEntry>* out);
   bool TakeRetiredBatch(std::vector<ShardRun>* out);
 
@@ -125,8 +120,7 @@ class EmissionPipeline {
   uint64_t windows_submitted() const;
   uint64_t windows_consumed() const;
   // Consumer-side merge time per profiled window (OnRun ingest +
-  // watermark emission + hashing + emit hook) — what merge_us measured on
-  // the synchronous path, now off the barrier. Copy; call after Drain for
+  // watermark emission + hashing + emit hook). Copy; call after Drain for
   // a complete series.
   std::vector<uint32_t> merge_us_samples() const;
 

@@ -83,45 +83,9 @@ uint64_t MergedTraceHash(const std::vector<MergedEntry>& merged) {
 
 // --- StreamingTraceMerger ----------------------------------------------------
 
-std::vector<MergedEntry> StreamingTraceMerger::AcquireRunBuffer() {
-  if (retired_runs_.empty()) {
-    return {};
-  }
-  std::vector<MergedEntry> buf = std::move(retired_runs_.back());
-  retired_runs_.pop_back();
-  return buf;
-}
-
 void StreamingTraceMerger::PushHead(Stream* stream) {
   const MergedEntry& front = stream->front();
   heads_.push(HeapKey{front.time64, front.node, stream});
-}
-
-void StreamingTraceMerger::OnChunk(TraceChunk&& chunk) {
-  Stream& stream = streams_[chunk.node];
-  if (!stream.ingest.CheckSeq(chunk.seq)) {
-    ++seq_gaps_;  // Counted, not fatal, so a test can assert on it.
-  }
-  if (chunk.entries.empty()) {
-    return;  // Contractually never happens; keep the run queue clean.
-  }
-  std::vector<MergedEntry> run = AcquireRunBuffer();
-  run.reserve(chunk.entries.size());
-  for (const LogEntry& e : chunk.entries) {
-    run.push_back(MergedEntry{stream.ingest.Unwrap(e), chunk.node, e});
-  }
-  buffered_ += run.size();
-  if (buffered_ > peak_buffered_) {
-    peak_buffered_ = buffered_;
-  }
-  bool was_empty = stream.runs.empty();
-  stream.runs.push_back(Run{std::move(run), 0});
-  if (was_empty) {
-    PushHead(&stream);
-  }
-  if (chunk_pool_ != nullptr) {
-    chunk_pool_->RecycleEntries(std::move(chunk.entries));
-  }
 }
 
 void StreamingTraceMerger::OnRun(uint32_t stream_key,
@@ -141,15 +105,6 @@ void StreamingTraceMerger::OnRun(uint32_t stream_key,
   if (was_empty) {
     PushHead(&stream);
   }
-}
-
-bool StreamingTraceMerger::TakeRetiredRun(std::vector<MergedEntry>* out) {
-  if (retired_runs_.empty()) {
-    return false;
-  }
-  *out = std::move(retired_runs_.back());
-  retired_runs_.pop_back();
-  return true;
 }
 
 size_t StreamingTraceMerger::TakeRetiredRuns(
@@ -227,8 +182,8 @@ size_t ShardRunBuilder::BuildRun(Tick barrier, bool flush_charges) {
   if (flush_charges && !dirty_.empty()) {
     // Fused worker-side charge flush: one sorted pass over the unified
     // dirty list does both per-mote duties of the window. Ascending node
-    // id restricted to one shard's queue is exactly the historical full
-    // sweep's flush order; the sort cannot change the sealed output (the
+    // id is the serial flush's order within one shard's queue; the sort
+    // cannot change the sealed output (the
     // stable sort below keys on (time64, node), and per-node log order is
     // preserved by each node's chunks arriving contiguously). Walking
     // dirty_ in place is safe: a re-entrant Append during a logger's own
@@ -264,7 +219,7 @@ size_t ShardRunBuilder::BuildRun(Tick barrier, bool flush_charges) {
   }
   dirty_.clear();
   // One sort per shard-window, in parallel across shards — this is the
-  // work the coordinator's per-entry heap no longer does per mote.
+  // work the merger's per-entry heap no longer does per mote.
   std::stable_sort(run_.begin(), run_.end(),
                    [](const MergedEntry& a, const MergedEntry& b) {
                      if (a.time64 != b.time64) {

@@ -77,12 +77,11 @@ std::vector<LogEntry> MergedEntryStream(const std::vector<MergedEntry>& merged);
 // full traces around.
 uint64_t MergedTraceHash(const std::vector<MergedEntry>& merged);
 
-// Per-stream chunk-ingest state shared by the streaming merger's chunk
-// door and the shard pre-merge builder: the 32 -> 64 bit timestamp unwrap
-// (exactly MergeTraces' rule — the counter wrapped whenever a timestamp
-// goes backwards within one node's monotone log) and the chunk-sequence
-// continuity check. One definition so the two pipelines can never drift
-// apart — their hash-identity contract depends on unwrapping identically.
+// Per-node chunk-ingest state of the shard pre-merge builder: the
+// 32 -> 64 bit timestamp unwrap (exactly MergeTraces' rule — the counter
+// wrapped whenever a timestamp goes backwards within one node's monotone
+// log) and the chunk-sequence continuity check. Streamed and batch merges
+// agree only if both unwrap identically.
 struct StreamIngestState {
   uint64_t high = 0;
   uint32_t prev = 0;
@@ -124,40 +123,30 @@ class MergedTraceHasher {
 
 // Incremental k-way merge: the streaming counterpart of MergeTraces.
 //
-// Input arrives online through one of two doors:
-//  * OnChunk (it is a TraceSink, so loggers in bounded-archive mode feed
-//    it directly): one stream per *node*, entries unwrapped to 64-bit
-//    time on ingest — the coordinator-sweep pipeline.
-//  * OnRun: one stream per *shard*, entries already unwrapped, sorted and
-//    pre-merged by a ShardRunBuilder on the shard's worker thread — the
-//    parallel barrier pipeline. The coordinator's merge heap then holds
-//    k = shards heads instead of k = motes.
-// The emitted sequence — order, content and FNV fingerprint — is
-// identical either way, and identical to what
-// MergeTraces(CollectNodeTraces(net)) would produce on the same logs: the
-// merge key is (unwrapped time, node, per-node log order), nothing else.
-// One merger instance must stick to one door (stream keys are node ids on
-// one and shard ids on the other).
+// Input arrives online through OnRun: one stream per *shard*, entries
+// already unwrapped, sorted and pre-merged by a ShardRunBuilder on the
+// shard's worker thread, so the merge heap holds k = shards heads rather
+// than k = motes. The emitted sequence — order, content and FNV
+// fingerprint — is identical to what MergeTraces(CollectNodeTraces(net))
+// produces on the same logs: the merge key is (unwrapped time, node,
+// per-node log order), nothing else.
 //
-// Watermark protocol: the producer (the sharded runner's barrier hook)
-// seals every dirty logger at a window barrier T, then calls
-// AdvanceWatermark(T). Entries strictly below T are final — every stream
-// flushed at T can only append entries at or after T — so they merge and
-// emit immediately; entries at exactly T wait one more window (barrier
-// hooks themselves may still log at T). A stream with nothing buffered
-// never blocks emission: after its seal at T, silence means it has
-// nothing below T (the idle-shard case). Finish() declares end of input
-// and drains the remainder. Under off-barrier emission the OnRun +
-// AdvanceWatermark calls are made by the EmissionPipeline consumer thread
-// instead of the coordinator — same calls, same order, same output; see
-// src/analysis/emission_pipeline.h for the ownership rules.
+// Watermark protocol: the producer seals every dirty logger at a window
+// barrier T, then calls AdvanceWatermark(T). Entries strictly below T are
+// final — every stream flushed at T can only append entries at or after
+// T — so they merge and emit immediately; entries at exactly T wait one
+// more window (barrier hooks themselves may still log at T). A stream
+// with nothing buffered never blocks emission: after its seal at T,
+// silence means it has nothing below T (the idle-shard case). Finish()
+// declares end of input and drains the remainder. In a sharded run the
+// OnRun + AdvanceWatermark calls are made by the EmissionPipeline
+// consumer thread; see src/analysis/emission_pipeline.h for the
+// ownership rules.
 //
 // Peak memory is O(entries per watermark interval), not O(run), and the
 // steady state is allocation-free: consumed run buffers retire into a
-// freelist (handed back to the producer via TakeRetiredRun, or reused
-// internally by OnChunk), and sealed chunk buffers recycle through an
-// optional TraceChunkPool shared with the loggers.
-class StreamingTraceMerger : public TraceSink {
+// freelist that the producer harvests with TakeRetiredRuns.
+class StreamingTraceMerger {
  public:
   // Called once per merged entry, in merge order. Optional: the merger
   // always maintains count + fingerprint; consumers that need the entries
@@ -169,17 +158,6 @@ class StreamingTraceMerger : public TraceSink {
 
   void SetEmit(EmitFn emit) { emit_ = std::move(emit); }
 
-  // Chunk-buffer freelist shared with the loggers that feed OnChunk: the
-  // merger recycles each chunk's entries vector here after copying the
-  // entries into its pending runs. Single-threaded discipline (see
-  // TraceChunkPool); only meaningful on the OnChunk door — OnRun
-  // producers recycle through their own per-shard pools.
-  void SetChunkPool(TraceChunkPool* pool) { chunk_pool_ = pool; }
-
-  // TraceSink: accepts one sealed chunk. Entries are unwrapped to 64-bit
-  // time on ingest (per-stream, exactly as MergeTraces does).
-  void OnChunk(TraceChunk&& chunk) override;
-
   // Accepts one pre-merged run for stream `stream` (a shard id). The run
   // must be sorted by (time64, node, per-node log order), and consecutive
   // runs of one stream must be non-decreasing in (time64, node) — the
@@ -188,16 +166,14 @@ class StreamingTraceMerger : public TraceSink {
   // Empty runs are accepted and retire immediately.
   void OnRun(uint32_t stream, std::vector<MergedEntry>&& run);
 
-  // Hands back one fully-consumed run buffer (cleared, capacity intact)
-  // for the producer to build its next run in; false when none is
-  // retired. The steady-state loop — BuildRun, OnRun, AdvanceWatermark,
-  // TakeRetiredRun — allocates nothing once buffers reach working size.
-  bool TakeRetiredRun(std::vector<MergedEntry>* out);
-  // Bulk form: appends every retired run buffer to `out`. The off-barrier
-  // emission consumer (EmissionPipeline) harvests with this while it owns
-  // the merger, then ferries the buffers back to the shard builders
-  // through its own mutex-protected return queue — the merger itself
-  // stays single-threaded (exactly one thread may touch it at a time; the
+  // Appends every fully-consumed run buffer (cleared, capacity intact) to
+  // `out`, for the producer to build its next runs in. The steady-state
+  // loop — BuildRun, OnRun, AdvanceWatermark, TakeRetiredRuns — allocates
+  // nothing once buffers reach working size. The emission consumer
+  // (EmissionPipeline) harvests with this while it owns the merger, then
+  // ferries the buffers back to the shard builders through its own
+  // mutex-protected return queue — the merger itself stays
+  // single-threaded (exactly one thread may touch it at a time; the
   // pipeline's queue and Drain() provide the ordering).
   size_t TakeRetiredRuns(std::vector<std::vector<MergedEntry>>* out);
 
@@ -205,9 +181,9 @@ class StreamingTraceMerger : public TraceSink {
   // emits all merged entries with time64 < watermark.
   void AdvanceWatermark(uint64_t watermark);
 
-  // No more chunks will arrive: emits everything still buffered. The
-  // merger can keep accepting chunks afterwards (a new collection round),
-  // but ordering is only guaranteed within rounds.
+  // No more runs will arrive: emits everything still buffered. The merger
+  // can keep accepting runs afterwards (a new collection round), but
+  // ordering is only guaranteed within rounds.
   void Finish();
 
   uint64_t emitted() const { return emitted_; }
@@ -219,13 +195,10 @@ class StreamingTraceMerger : public TraceSink {
   size_t buffered() const { return buffered_; }
   size_t peak_buffered() const { return peak_buffered_; }
   size_t stream_count() const { return streams_.size(); }
-  // Chunks that arrived out of sequence (should be 0 in a healthy run).
-  uint64_t seq_gaps() const { return seq_gaps_; }
 
  private:
   // One ingested run: a sorted span of merged entries consumed from
-  // `pos`. OnChunk wraps each chunk into a single-chunk run so both doors
-  // share the emission path (and the buffer recycling).
+  // `pos`.
   struct Run {
     std::vector<MergedEntry> entries;
     size_t pos = 0;
@@ -233,8 +206,6 @@ class StreamingTraceMerger : public TraceSink {
 
   struct Stream {
     std::deque<Run> runs;
-    // Unwrap + chunk continuity (OnChunk door only).
-    StreamIngestState ingest;
 
     bool empty() const { return runs.empty(); }
     const MergedEntry& front() const {
@@ -256,24 +227,19 @@ class StreamingTraceMerger : public TraceSink {
 
   void EmitFront(Stream* stream);
   void PushHead(Stream* stream);
-  std::vector<MergedEntry> AcquireRunBuffer();
 
   EmitFn emit_;
-  // Keyed by node id (OnChunk) or shard id (OnRun) — never both in one
-  // instance.
+  // Keyed by shard id.
   std::map<uint32_t, Stream> streams_;
   // One heap element per non-empty stream (pushed when a stream turns
   // non-empty, reinserted after each pop while entries remain).
   std::priority_queue<HeapKey, std::vector<HeapKey>, std::greater<HeapKey>>
       heads_;
-  // Fully-consumed run buffers awaiting reuse (OnChunk ingest or
-  // TakeRetiredRun).
+  // Fully-consumed run buffers awaiting TakeRetiredRuns.
   std::vector<std::vector<MergedEntry>> retired_runs_;
-  TraceChunkPool* chunk_pool_ = nullptr;
   uint64_t emitted_ = 0;
   size_t buffered_ = 0;
   size_t peak_buffered_ = 0;
-  uint64_t seq_gaps_ = 0;
   MergedTraceHasher hasher_;
 };
 
@@ -293,15 +259,14 @@ class StreamingTraceMerger : public TraceSink {
 // one sorted pass, leaving the serial barrier section only O(shards)
 // hand-off work.
 //
-// Boundary holdback is what makes the coordinator's k-way merge exact:
+// Boundary holdback is what makes the merger's k-way merge exact:
 // entries at or after the sealing barrier T (barrier hooks may log at
 // exactly T, after this shard's run was already built) are held back into
 // the next window's run. Every run therefore lies strictly below its
 // barrier and at or above the previous one, so the concatenation of a
 // shard's runs is globally sorted — precisely the StreamingTraceMerger
-// OnRun precondition — and no entry emits later than it would have under
-// the coordinator-sweep pipeline (the watermark holds entries at T for
-// one window anyway).
+// OnRun precondition — and no entry emits later than the watermark alone
+// would allow (the watermark holds entries at T for one window anyway).
 //
 // Thread discipline: everything here is owned by the shard — touched by
 // the shard's worker during windows and the pre-barrier phase, and by the
@@ -335,18 +300,19 @@ class ShardRunBuilder : public TraceSink {
   //
   // With `flush_charges` set, the dirty pass is the *fused* worker-side
   // charge flush: the dirty list is first sorted ascending by node id —
-  // restricted to one shard's event queue that is exactly the historical
-  // full sweep's flush order — and each dirty logger is visited once,
-  // FlushCpuCharge then SealToSink. Under batch charging the log-dirty
-  // and charge-dirty sets coincide (see QuantoLogger::SetChargeDirtyHook),
-  // so this one list covers both duties; a flush only ever touches its
-  // own mote's queue, on the shard's own worker, so no lock is needed and
-  // the simulation stays event-identical to the serial-hook flush. The
-  // sort is order-neutral for the run itself (the stable sort below keys
-  // on (time64, node) and per-node order rides the per-chunk appends), so
-  // sealed content is byte-identical with the flag on or off. The
-  // end-of-run tail call must pass false — the serial paths never flush
-  // at the tail, and visit parity with them is counter-asserted.
+  // the serial flush's order within one shard's event queue — and each
+  // dirty logger is visited once, FlushCpuCharge then SealToSink. Under
+  // batch charging the log-dirty and charge-dirty sets coincide (see
+  // QuantoLogger::SetChargeDirtyHook), so this one list covers both
+  // duties; a flush only ever touches its own mote's queue, on the
+  // shard's own worker, so no lock is needed and the simulation stays
+  // event-identical to the serial dirty-list flush
+  // (ScaleNetwork::FlushAllCharges). The sort is order-neutral for the run
+  // itself (the stable sort below keys on (time64, node) and per-node
+  // order rides the per-chunk appends), so sealed content is
+  // byte-identical with the flag on or off. The end-of-run tail call must
+  // pass false — the serial flush never runs at the tail, and visit
+  // parity with it is counter-asserted.
   size_t BuildRun(Tick barrier, bool flush_charges = false);
 
   bool HasRun() const { return !run_.empty(); }
@@ -372,8 +338,8 @@ class ShardRunBuilder : public TraceSink {
 
   // Dirty loggers visited by fused flush passes, cumulatively — the
   // fused-path counterpart of ScaleNetwork::charge_flush_visits(), and
-  // asserted equal to the serial-hook path's count (one pass per window,
-  // not two).
+  // asserted equal to the serial flush's count (one pass per window, not
+  // two).
   uint64_t charge_flush_visits() const { return stats_.flush_visits; }
 
   // Barrier profiling: when enabled, BuildRun records its own duration;
@@ -385,8 +351,7 @@ class ShardRunBuilder : public TraceSink {
   // the whole flush+seal walk (the two are interleaved per visit, so the
   // walk is timed as one — per-logger clock reads would cost more than
   // the flush they measure). A subset of last_build_us, split out so the
-  // bench can report the fused pass next to the serial paths' hook-side
-  // flush_us. 0 when BuildRun ran unfused.
+  // bench can report the fused pass apart. 0 when BuildRun ran unfused.
   uint32_t last_flush_us() const { return stats_.last_flush_us; }
 
  private:

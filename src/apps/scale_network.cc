@@ -24,14 +24,7 @@ ScaleNetwork::ScaleNetwork(ShardedSimulator* sim, MediumFabric* fabric,
     media.push_back(&fabric->medium(s));
   }
   if (config_.emission_pipeline != nullptr) {
-    // Off-barrier emission implies the pre-merged pipeline; the merger is
-    // the pipeline's, and the coordinator half below hands off instead of
-    // merging. premerged_sink is display-only on this path (HandOffRuns
-    // never touches the merger while the consumer owns it).
-    config_.premerged_sink = config_.emission_pipeline->merger();
-  }
-  if (config_.premerged_sink != nullptr) {
-    // Parallel barrier pipeline: one pre-merge builder per shard, created
+    // Streamed collection: one pre-merge builder per shard, created
     // before Build so the motes' loggers can be wired straight to them.
     builders_.reserve(sim->shard_count());
     for (size_t s = 0; s < sim->shard_count(); ++s) {
@@ -39,21 +32,17 @@ ScaleNetwork::ScaleNetwork(ShardedSimulator* sim, MediumFabric* fabric,
       builders_.back()->EnableProfiling(config_.profile_barrier);
     }
   }
-  // Fused worker-side charge flush: on the pre-merged pipeline the
-  // window's charge flush rides the per-shard pre-barrier seal pass (one
-  // sorted dirty walk doing flush + seal), so no serial flush hook is
-  // registered at all — the barrier section keeps only O(shards)
-  // hand-off work. The serial-hook and legacy-sweep flushes are retained
-  // behind their config flags for equality tests and A/B measurement.
-  fused_charge_flush_ = config_.batch_log_charging && !builders_.empty() &&
-                        !config_.serial_charge_flush &&
-                        !config_.legacy_full_charge_sweep;
+  // Fused worker-side charge flush: on a streamed run the window's charge
+  // flush rides the per-shard pre-barrier seal pass (one sorted dirty
+  // walk doing flush + seal), so no serial flush hook is registered at
+  // all — the barrier section keeps only O(shards) hand-off work. A
+  // batch-collected run has no seal pass to ride and flushes on a serial
+  // barrier hook instead.
+  fused_charge_flush_ = config_.batch_log_charging && !builders_.empty();
   Build(queues, media);
   if (config_.batch_log_charging && !fused_charge_flush_) {
-    // Flush after the fabric's barrier work (the drain itself now runs on
-    // the parallel inter-window phase, before any hook; the fabric's
-    // retirement hook was registered at construction, before us); the
-    // order is fixed per run either way.
+    // Registered after the fabric's retirement hook (the fabric registers
+    // at construction, before us); the order is fixed per run either way.
     sim->AddBarrierHook([this](Tick) { FlushAllCharges(); });
   }
   if (!builders_.empty()) {
@@ -61,48 +50,38 @@ ScaleNetwork::ScaleNetwork(ShardedSimulator* sim, MediumFabric* fabric,
     // shard's dirty loggers into its pre-merged run — flushing each dirty
     // logger's batched self-charge first when the fused path is on.
     // Entries logged by the coordinator's hooks at exactly the barrier
-    // time land in the next window's run (and the builders' boundary
-    // holdback keeps runs sorted either way), so the merged output is
-    // byte-identical to the coordinator-sweep path below.
+    // time land in the next window's run (the builders' boundary
+    // holdback keeps runs sorted either way).
     bool fused = fused_charge_flush_;
     sim->AddShardWindowTask([this, fused](size_t shard, Tick end) {
       builders_[shard]->BuildRun(end, /*flush_charges=*/fused);
     });
-    // Coordinator half: k-way merge across the shard runs and watermark
-    // advance (after the serial charge flush, when one is hooked).
+    // Coordinator half: hand the shard runs and the watermark to the
+    // emission pipeline.
     sim->AddBarrierHook([this, fused](Tick end) {
       if (fused) {
         // Window accounting for the fused flush lives here — once per
         // window, not once per shard; the tail flush (SealAllChunks)
         // deliberately never counts or flushes, matching the serial
-        // paths, which only flush from this hook position.
+        // flush, which only runs from its barrier hook.
         ++charge_flush_windows_;
       }
       HandOffRuns(end, true);
     });
-  } else if (config_.trace_sink != nullptr) {
-    // Seal after the charge flush so any entries the flush logs at the
-    // barrier time land in this window's chunks. Runs on the coordinating
-    // thread in mote order: the chunk sequence is thread-count-invariant.
-    sim->AddBarrierHook([this](Tick) { SealAllChunks(); });
   }
 }
 
 ScaleNetwork::ScaleNetwork(EventQueue* queue, Medium* medium,
                            const ScaleNetworkConfig& config)
     : config_(config) {
-  if (config_.premerged_sink == nullptr && config_.emission_pipeline != nullptr) {
-    // A single engine has no window barriers to emit behind: degrade the
-    // off-barrier pipeline to its merger, then (below) to plain streamed
-    // collection. The pipeline's consumer stays idle; its Drain is a no-op.
-    config_.premerged_sink = config_.emission_pipeline->merger();
-  }
-  config_.emission_pipeline = nullptr;
-  if (config_.trace_sink == nullptr && config_.premerged_sink != nullptr) {
-    // No shards to pre-merge across on a single engine: degrade to plain
-    // streamed collection into the merger (callers drive SealAllChunks).
-    config_.trace_sink = config_.premerged_sink;
-    config_.premerged_sink = nullptr;
+  if (config_.emission_pipeline != nullptr) {
+    // A single engine has no window barriers to seal and emit behind: the
+    // pipeline would never see a run and its merger would silently hash
+    // an empty trace. Refuse outright.
+    std::fprintf(stderr,
+                 "ScaleNetwork: an emission pipeline needs a sharded build; "
+                 "a single-engine network keeps its traces in RAM\n");
+    std::abort();
   }
   Build({queue}, {medium});
 }
@@ -160,12 +139,11 @@ void ScaleNetwork::Build(const std::vector<EventQueue*>& queues,
   for (size_t s = 0; s < media.size(); ++s) {
     media[s]->ReserveClients(config_.motes / shards + 1, radio_channel);
   }
-  if (config_.batch_log_charging && !config_.legacy_full_charge_sweep &&
-      !fused_charge_flush_) {
-    // Serial-hook dirty flush: FlushAllCharges walks these. The fused
-    // path needs no charge-dirty lists (and no charge-dirty hooks — one
-    // fewer branch per first Append): the builders' seal dirty lists
-    // provably cover the same set.
+  if (config_.batch_log_charging && !fused_charge_flush_) {
+    // Serial dirty flush: FlushAllCharges walks these. The fused path
+    // needs no charge-dirty lists (and no charge-dirty hooks — one fewer
+    // branch per first Append): the builders' seal dirty lists provably
+    // cover the same set.
     charge_dirty_.resize(shards);
   }
   for (size_t i = 0; i < config_.motes; ++i) {
@@ -181,8 +159,9 @@ void ScaleNetwork::Build(const std::vector<EventQueue*>& queues,
     cfg.batch_log_charging = config_.batch_log_charging;
     cfg.arena = &arena_;
     size_t shard = i % shards;
-    cfg.trace_sink = builders_.empty() ? config_.trace_sink
-                                       : builders_[shard].get();
+    if (!builders_.empty()) {
+      cfg.trace_sink = builders_[shard].get();
+    }
     motes_.push_back(
         MakeArenaPtr<Mote>(&arena_, queues[shard], media[shard], cfg));
     if (!builders_.empty()) {
@@ -325,41 +304,33 @@ uint64_t ScaleNetwork::entries_dropped() const {
 void ScaleNetwork::FlushAllCharges() {
   std::chrono::steady_clock::time_point start;
   if (config_.profile_barrier) {
-    // Serial-path flush_us: this whole function, on the coordinator —
-    // i.e. a subset of the window's barrier_us, unlike the fused path's
+    // Serial flush_us: this whole function, on the coordinator — i.e. a
+    // subset of the window's barrier_us, unlike the fused flush's
     // worker-side samples. One sample per window on the barrier hook;
     // manual single-engine callers get one per call.
     start = std::chrono::steady_clock::now();
   }
   ++charge_flush_windows_;
-  if (charge_dirty_.empty()) {
-    // Legacy sweep (or batching off): every mote, every window.
-    for (const auto& m : motes_) {
-      ++charge_flush_visits_;
-      m->logger().FlushCpuCharge();
+  for (ChargeDirtyList& list : charge_dirty_) {
+    if (list.loggers.empty()) {
+      continue;
     }
-  } else {
-    for (ChargeDirtyList& list : charge_dirty_) {
-      if (list.loggers.empty()) {
-        continue;
-      }
-      // Take the shard's list (marks made by the flush itself —
-      // ChargeCycles can re-enter Append — belong to the next window and
-      // land in the fresh list), then flush in ascending node-id order.
-      // Mote ids are assigned round-robin across shards, so within one
-      // shard ascending node id IS the historical sweep's relative order;
-      // and since a flush only touches its own mote's event queue,
-      // cross-shard interleaving cannot affect the simulation.
-      charge_flush_scratch_.clear();
-      charge_flush_scratch_.swap(list.loggers);
-      std::sort(charge_flush_scratch_.begin(), charge_flush_scratch_.end(),
-                [](const QuantoLogger* a, const QuantoLogger* b) {
-                  return a->node() < b->node();
-                });
-      for (QuantoLogger* logger : charge_flush_scratch_) {
-        ++charge_flush_visits_;
-        logger->FlushCpuCharge();
-      }
+    // Take the shard's list (marks made by the flush itself —
+    // ChargeCycles can re-enter Append — belong to the next window and
+    // land in the fresh list), then flush in ascending node-id order.
+    // Mote ids are assigned round-robin across shards, so within one
+    // shard ascending node id is ascending mote order; and since a flush
+    // only touches its own mote's event queue, cross-shard interleaving
+    // cannot affect the simulation.
+    charge_flush_scratch_.clear();
+    charge_flush_scratch_.swap(list.loggers);
+    std::sort(charge_flush_scratch_.begin(), charge_flush_scratch_.end(),
+              [](const QuantoLogger* a, const QuantoLogger* b) {
+                return a->node() < b->node();
+              });
+    for (QuantoLogger* logger : charge_flush_scratch_) {
+      ++charge_flush_visits_;
+      logger->FlushCpuCharge();
     }
   }
   if (config_.profile_barrier) {
@@ -371,121 +342,73 @@ void ScaleNetwork::FlushAllCharges() {
 }
 
 size_t ScaleNetwork::SealAllChunks() {
-  if (!builders_.empty()) {
-    // Final flush of the pre-merged pipeline: seal every still-dirty
-    // logger and release the held-back boundary entries (a barrier of
-    // ~Tick{0} holds nothing back), then hand the runs off as usual.
-    size_t sealed = 0;
-    for (const auto& b : builders_) {
-      sealed += b->BuildRun(~Tick{0});
-    }
-    HandOffRuns(~Tick{0}, /*record_profile=*/false);
-    if (config_.emission_pipeline != nullptr) {
-      // Tail-flush ordering: the final watermark is queued, not yet
-      // emitted. Drain blocks until the consumer has merged every
-      // submitted window — only then are the hash, the spill bytes and
-      // the consumer-side merge_us samples final (and safe to read from
-      // this thread).
-      config_.emission_pipeline->Drain();
-      merge_us_samples_ = config_.emission_pipeline->merge_us_samples();
-    }
-    return sealed;
+  if (builders_.empty()) {
+    return 0;
   }
+  // Final flush: seal every still-dirty logger and release the held-back
+  // boundary entries (a barrier of ~Tick{0} holds nothing back), then
+  // hand the runs off as usual.
   size_t sealed = 0;
-  for (const auto& m : motes_) {
-    sealed += m->logger().SealToSink();
+  for (const auto& b : builders_) {
+    sealed += b->BuildRun(~Tick{0});
   }
+  HandOffRuns(~Tick{0}, /*record_profile=*/false);
+  // Tail-flush ordering: the final watermark is queued, not yet emitted.
+  // Drain blocks until the consumer has merged every submitted window —
+  // only then are the hash, the spill bytes and the consumer-side
+  // merge_us samples final (and safe to read from this thread).
+  config_.emission_pipeline->Drain();
+  merge_us_samples_ = config_.emission_pipeline->merge_us_samples();
   return sealed;
 }
 
 void ScaleNetwork::HandOffRuns(Tick window_end, bool record_profile) {
   bool profile = config_.profile_barrier && record_profile;
-  uint32_t seal_us = 0;
-  uint32_t flush_us = 0;
   if (profile) {
     // seal_us is the window's critical-path pre-merge (max across shards,
     // measured on the workers; the window barrier published the writes);
     // flush_us is the fused charge-flush slice of it, max'd the same way.
+    uint32_t seal_us = 0;
+    uint32_t flush_us = 0;
     for (const auto& b : builders_) {
-      if (b->last_build_us() > seal_us) {
-        seal_us = b->last_build_us();
-      }
-      if (b->last_flush_us() > flush_us) {
-        flush_us = b->last_flush_us();
-      }
+      seal_us = std::max(seal_us, b->last_build_us());
+      flush_us = std::max(flush_us, b->last_flush_us());
     }
-  }
-  if (config_.emission_pipeline != nullptr) {
-    // Off-barrier emission: the barrier's share of the backend is just
-    // this hand-off — move the runs plus the watermark into the bounded
-    // queue and release the shards; the consumer thread does the k-way
-    // merge and emission concurrently with the next window (and records
-    // merge_us there). SubmitWindow only blocks when the consumer is
-    // max_depth windows behind (accounted as consumer_stall_us).
-    EmissionPipeline* pipe = config_.emission_pipeline;
-    std::vector<EmissionPipeline::ShardRun> batch;
-    pipe->TakeRetiredBatch(&batch);
-    for (const auto& b : builders_) {
-      if (b->HasRun()) {
-        batch.push_back(EmissionPipeline::ShardRun{
-            static_cast<uint32_t>(b->shard()), b->TakeRun()});
-      }
-    }
-    pipe->SubmitWindow(std::move(batch), window_end, profile);
-    // Run buffers come back on the consumer's schedule; whatever has
-    // retired by now backs upcoming windows (allocation-free once the
-    // queue's working set — max_depth windows of runs — has cycled).
-    std::vector<MergedEntry> buf;
-    for (const auto& b : builders_) {
-      if (!pipe->TakeRetiredRun(&buf)) {
-        break;
-      }
-      b->RecycleRunBuffer(std::move(buf));
-    }
-    if (profile) {
-      seal_us_samples_.push_back(seal_us);
-      if (fused_charge_flush_) {
-        flush_us_samples_.push_back(flush_us);
-      }
-    }
-    return;
-  }
-  StreamingTraceMerger* merger = config_.premerged_sink;
-  std::chrono::steady_clock::time_point start;
-  if (profile) {
-    start = std::chrono::steady_clock::now();
-  }
-  for (const auto& b : builders_) {
-    if (b->HasRun()) {
-      merger->OnRun(static_cast<uint32_t>(b->shard()), b->TakeRun());
-    }
-  }
-  merger->AdvanceWatermark(window_end);
-  // Give consumed run buffers back to the builders for the next window —
-  // the allocation-free steady state.
-  std::vector<MergedEntry> buf;
-  for (const auto& b : builders_) {
-    if (!merger->TakeRetiredRun(&buf)) {
-      break;
-    }
-    b->RecycleRunBuffer(std::move(buf));
-  }
-  if (profile) {
-    // merge_us is this coordinator section (hand-off + watermark
-    // emission) — the serial cost off-barrier emission removes.
     seal_us_samples_.push_back(seal_us);
     if (fused_charge_flush_) {
       flush_us_samples_.push_back(flush_us);
     }
-    merge_us_samples_.push_back(static_cast<uint32_t>(
-        std::chrono::duration_cast<std::chrono::microseconds>(
-            std::chrono::steady_clock::now() - start)
-            .count()));
+  }
+  // The barrier's share of the backend is just this hand-off: move the
+  // runs plus the watermark into the bounded queue and release the
+  // shards; the consumer thread does the k-way merge and emission
+  // concurrently with the next window (and records merge_us there).
+  // SubmitWindow only blocks when the consumer is max_depth windows
+  // behind (accounted as consumer_stall_us).
+  EmissionPipeline* pipe = config_.emission_pipeline;
+  std::vector<EmissionPipeline::ShardRun> batch;
+  pipe->TakeRetiredBatch(&batch);
+  for (const auto& b : builders_) {
+    if (b->HasRun()) {
+      batch.push_back(EmissionPipeline::ShardRun{
+          static_cast<uint32_t>(b->shard()), b->TakeRun()});
+    }
+  }
+  pipe->SubmitWindow(std::move(batch), window_end, profile);
+  // Run buffers come back on the consumer's schedule; whatever has
+  // retired by now backs upcoming windows (allocation-free once the
+  // queue's working set — max_depth windows of runs — has cycled).
+  std::vector<MergedEntry> buf;
+  for (const auto& b : builders_) {
+    if (!pipe->TakeRetiredRun(&buf)) {
+      break;
+    }
+    b->RecycleRunBuffer(std::move(buf));
   }
 }
 
 uint64_t ScaleNetwork::charge_flush_visits() const {
-  // Serial-path visits accumulate here; fused-path visits accumulate on
+  // Serial-flush visits accumulate here; fused-flush visits accumulate on
   // the builders (per-shard, worker-written). At most one of the two is
   // nonzero in any one run, but summing both keeps the accessor honest
   // either way.

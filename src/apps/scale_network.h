@@ -7,20 +7,21 @@
 // proof run it.
 //
 // The builder works against either simulation core:
-//  * single-engine: one EventQueue + one Medium (the PR 1 baseline path);
+//  * single-engine: one EventQueue + one Medium, traces kept in RAM;
 //  * sharded: a ShardedSimulator + MediumFabric, with mote i assigned to
 //    shard i % shard_count — a fixed decomposition, so the simulated
 //    behaviour depends on the shard count but never on the thread count.
+//    Traces stay in RAM, or stream through an EmissionPipeline.
 #ifndef QUANTO_SRC_APPS_SCALE_NETWORK_H_
 #define QUANTO_SRC_APPS_SCALE_NETWORK_H_
 
 #include <memory>
 #include <vector>
 
-// Deliberate layering exception: the parallel barrier pipeline wires the
-// per-shard pre-merge builders (analysis) into the sharded runner's
-// pre-barrier phase, and ScaleNetwork is the composition point where the
-// two meet — the analysis layer itself stays free of apps/sim types.
+// Deliberate layering exception: streamed collection wires the per-shard
+// pre-merge builders (analysis) into the sharded runner's pre-barrier
+// phase, and ScaleNetwork is the composition point where the two meet —
+// the analysis layer itself stays free of apps/sim types.
 #include "src/analysis/emission_pipeline.h"
 #include "src/analysis/trace_merge.h"
 #include "src/apps/lpl_listener.h"
@@ -61,27 +62,12 @@ struct ScaleNetworkConfig {
   Tick lpl_cca_listen_time = Milliseconds(9);
   Tick lpl_detection_timeout = Milliseconds(50);
   Tick flood_interval = Milliseconds(250);
-  // Window-batched logger self-charging (satellite of the sharding PR).
-  // The sharded constructor installs the per-window flush hook itself;
-  // single-engine callers must call FlushAllCharges() manually if they
-  // turn this on.
+  // Window-batched logger self-charging. The sharded constructor flushes
+  // the batched charge once per window itself — fused into the shard
+  // workers' seal pass when an emission pipeline is attached, on a serial
+  // barrier hook otherwise; single-engine callers must call
+  // FlushAllCharges() manually if they turn this on.
   bool batch_log_charging = false;
-  // Force the historical O(all motes) flush sweep instead of the
-  // per-shard dirty lists (see FlushAllCharges). The two produce
-  // identical simulations — the dirty-flush equality tests pin that by
-  // running both and comparing merged-trace hashes; this flag exists for
-  // exactly those tests and for A/B measurements.
-  bool legacy_full_charge_sweep = false;
-  // Keep the charge flush on the serial barrier hook (the PR 7 per-shard
-  // dirty lists, walked by the coordinator) instead of fusing it into the
-  // per-shard pre-barrier seal pass. Only meaningful on the pre-merged
-  // pipeline with batch_log_charging — everywhere else the serial hook is
-  // the only flush there is. All three flush paths (fused ∥ / serial
-  // hook / legacy sweep) produce identical simulations; the charge-flush
-  // equality tests pin hashes and visit counters across them, and this
-  // flag exists for those tests and for A/B residue measurements
-  // (bench --serial-charge-flush).
-  bool serial_charge_flush = false;
   // Topology. kChain reproduces the original benchmark byte for byte;
   // kGrid adds the grid/multi-sink layout for wide networks.
   ScaleTopology topology = ScaleTopology::kChain;
@@ -89,48 +75,25 @@ struct ScaleNetworkConfig {
   size_t grid_width = 0;
   // Number of independent flood origin/sink bands (kGrid only, >= 1).
   size_t sinks = 1;
-  // Streaming trace collection: every mote's logger runs in
-  // bounded-archive mode feeding this sink. The sharded constructor
-  // installs a barrier hook that seals all chunks each lockstep window
-  // (after the fabric's barrier hook and charge flush; the fabric drain
-  // itself runs earlier, on the parallel inter-window phase), so per-mote
-  // resident trace
-  // is O(window); callers consuming watermarked output (e.g. a
-  // StreamingTraceMerger) register their own hook *after* constructing
-  // the network — hooks run in registration order, so theirs sees the
-  // window's chunks already sealed. Single-engine callers must call
-  // SealAllChunks() themselves.
-  TraceSink* trace_sink = nullptr;
-  // Parallel barrier pipeline (sharded builds): instead of the
-  // coordinator sweeping every mote per window (`trace_sink` above), each
-  // shard's worker seals only its *dirty* loggers — marked by the
-  // on-first-append hook, so idle motes cost nothing — into a pre-merged
-  // time-sorted run during the pre-barrier phase, and the coordinator
-  // k-way merges k = shards runs and advances the watermark itself
-  // (callers must NOT register their own watermark hook on this path).
-  // The emitted sequence, fingerprint and spill bytes are identical to
-  // the trace_sink path. Mutually exclusive with trace_sink; on a
-  // single-engine build this degrades to trace_sink collection (the
-  // merger is a TraceSink) with manual SealAllChunks().
-  StreamingTraceMerger* premerged_sink = nullptr;
-  // Off-barrier emission (sharded builds; supersedes premerged_sink):
-  // the pre-merged pipeline above, but the coordinator's barrier half
-  // only hands the window's sealed runs plus the new watermark to this
-  // bounded pipeline and immediately releases the shards into the next
-  // window — the pipeline's consumer thread performs the k-way merge,
-  // watermark emission, hashing and everything behind the merger's emit
-  // hook (regression feed, spill) concurrently with simulation. Emitted
-  // sequence, fingerprint and spill bytes are byte-identical to the
-  // synchronous paths; SealAllChunks() drains the queue before returning
-  // so the tail flush still precedes the final hash read. Mutually
-  // exclusive with trace_sink/premerged_sink; on a single-engine build
-  // this degrades to trace_sink collection into the pipeline's merger
-  // (manual SealAllChunks, no consumer hand-off).
+  // Streamed trace collection (sharded builds only). Every mote's logger
+  // runs in bounded-archive mode; each shard's worker seals only its
+  // *dirty* loggers — marked by the on-first-append hook, so idle motes
+  // cost nothing — into a pre-merged time-sorted run during the
+  // pre-barrier phase. The coordinator's barrier half hands the window's
+  // runs plus the new watermark to this bounded pipeline and releases the
+  // shards into the next window; the pipeline's consumer thread performs
+  // the k-way merge, watermark emission, hashing and everything behind
+  // the merger's emit hook (regression feed, spill) concurrently with
+  // simulation. SealAllChunks() drains the queue before returning, so the
+  // tail flush precedes the final hash read. Null: every mote keeps its
+  // whole trace in RAM for the batch MergeTraces(CollectNodeTraces(net)).
+  // A single-engine build has no window barriers to stream behind and
+  // aborts at construction when given a pipeline.
   EmissionPipeline* emission_pipeline = nullptr;
-  // Record per-window seal/merge timings (and enable builder profiling)
-  // for the barrier-latency percentiles in bench_scale_multihop. On the
-  // off-barrier pipeline merge_us is recorded by the consumer thread
-  // (where the merge now runs) and copied back at SealAllChunks().
+  // Record per-window seal/merge/flush timings (and enable builder
+  // profiling) for the barrier-latency percentiles in
+  // bench_scale_multihop. merge_us is recorded by the emission consumer
+  // thread and copied back at SealAllChunks().
   bool profile_barrier = false;
   // Entries per spill-file segment for harnesses that attach a
   // FileTraceSink behind the emit hook (bench --segment-entries). The
@@ -178,19 +141,18 @@ class ScaleNetwork {
   // for a streamed run's merge to equal the batch merge.
   uint64_t entries_dropped() const;
 
-  // Flushes every mote's batched logger self-charge — the *serial* flush
-  // paths. With dirty lists active this visits only the loggers that
-  // actually accumulated cycles since the last flush — marked through
-  // QuantoLogger's charge-dirty hook, so an idle mote costs the window
-  // flush exactly nothing — taking the flush off the O(all motes)
-  // barrier path. Each shard's dirty loggers flush in ascending node-id
-  // order, which restricted to one event queue is precisely the order
-  // the historical full sweep used; since a flush only ever touches its
-  // own mote's queue, the simulation is event-identical to the sweep
-  // (the equality tests pin the hashes). On the default pre-merged
-  // sharded build the flush is instead *fused* into the per-shard
-  // pre-barrier seal pass (ShardRunBuilder::BuildRun with flush_charges)
-  // and this function is never hooked — see fused_charge_flush().
+  // Flushes the batched logger self-charge of every mote that owes some —
+  // the *serial* flush of batch-collected runs (the per-window barrier
+  // hook of a sharded build without an emission pipeline, or a manual
+  // call on a single engine). It visits only the loggers that accumulated
+  // cycles since the last flush — marked through QuantoLogger's
+  // charge-dirty hook, so an idle mote costs the window flush nothing.
+  // Each shard's dirty loggers flush in ascending node-id order; a flush
+  // only ever touches its own mote's queue, so cross-shard order cannot
+  // affect the simulation. With an emission pipeline the flush is instead
+  // *fused* into the per-shard pre-barrier seal pass
+  // (ShardRunBuilder::BuildRun with flush_charges) and this function is
+  // never hooked — see fused_charge_flush().
   void FlushAllCharges();
 
   // The fused worker-side flush is active: no serial flush hook is
@@ -199,36 +161,31 @@ class ScaleNetwork {
   bool fused_charge_flush() const { return fused_charge_flush_; }
 
   // Loggers visited by charge-flush rounds, cumulatively, summed across
-  // the serial paths (FlushAllCharges) and the fused per-shard passes. A
-  // healthy dirty-list run has visits ≪ windows × motes; the legacy
-  // sweep has visits == windows × motes exactly; fused and serial-hook
-  // runs of one workload have *equal* visits (one pass per dirty mote
-  // per window, not two — the equality tests pin it).
+  // the serial flush (FlushAllCharges) and the fused per-shard passes. A
+  // healthy run has visits ≪ windows × motes; a streamed (fused) and a
+  // batch (serial) run of one workload have *equal* visits — one pass per
+  // dirty mote per window (tests/charge_flush_test.cc pins it).
   uint64_t charge_flush_visits() const;
   uint64_t charge_flush_windows() const { return charge_flush_windows_; }
   // FlushCpuCharge calls that actually handed cycles to a CPU, summed
-  // over motes — equal across all three flush paths.
+  // over motes.
   uint64_t charge_flushes() const;
 
   // Construction arena stats (bytes reserved/allocated, allocation and
   // slab counts) — the bench records them next to construct_ms.
   const Arena& construction_arena() const { return arena_; }
 
-  // Seals every mote's pending entries to the configured trace sink, in
-  // mote order (no-op without a sink). Returns entries sealed. The
-  // sharded barrier hook calls this per window; call it once after the
-  // run to seal the tail. On the pre-merged pipeline this flushes the
-  // builders (including held-back boundary entries) through the merger
-  // instead.
+  // Tail flush of a streamed run: seals every still-dirty logger, releases
+  // the builders' held-back boundary entries through the emission
+  // pipeline and drains it, so the merger's hash and everything behind
+  // its emit hook are final when this returns. Call it once after the
+  // run. Returns entries sealed (0 on a batch-collected run).
   size_t SealAllChunks();
 
-  // --- Parallel barrier pipeline introspection -------------------------------
+  // --- Streamed collection introspection --------------------------------------
+  // Runs stream through the emission pipeline (one pre-merge builder per
+  // shard); false on batch-collected runs.
   bool premerge_active() const { return !builders_.empty(); }
-  // Off-barrier emission active (hand-off goes through the pipeline's
-  // consumer thread instead of touching the merger at the barrier).
-  bool async_emission_active() const {
-    return !builders_.empty() && config_.emission_pipeline != nullptr;
-  }
   size_t premerge_shards() const { return builders_.size(); }
   const ShardRunBuilder& premerge_builder(size_t shard) const {
     return *builders_[shard];
@@ -239,22 +196,19 @@ class ScaleNetwork {
   uint64_t chunks_sealed() const;
   uint64_t empty_seals_skipped() const;
   // Per-window profiling samples (profile_barrier only): max per-shard
-  // run-build time, and the merge + watermark-emission time — measured in
-  // the coordinator's hand-off hook on the synchronous path, or on the
-  // consumer thread (and copied back by SealAllChunks) under off-barrier
-  // emission, where it no longer sits inside the barrier.
+  // run-build time, and the merge + watermark-emission time measured on
+  // the emission consumer thread (copied back by SealAllChunks).
   const std::vector<uint32_t>& seal_us_samples() const {
     return seal_us_samples_;
   }
   const std::vector<uint32_t>& merge_us_samples() const {
     return merge_us_samples_;
   }
-  // Per-window charge-flush time (profile_barrier only). Fused path: max
+  // Per-window charge-flush time (profile_barrier only). Fused flush: max
   // per-shard fused-pass time, recorded at the hand-off hook like
   // seal_us — a subset of that window's seal_us, running ∥ pre-barrier.
-  // Serial paths: FlushAllCharges' own duration on the coordinator — a
-  // subset of that window's barrier_us. Comparing the two series is the
-  // residue A/B the bench's --serial-charge-flush flag exists for.
+  // Serial flush: FlushAllCharges' own duration on the coordinator — a
+  // subset of that window's barrier_us.
   const std::vector<uint32_t>& flush_us_samples() const {
     return flush_us_samples_;
   }
@@ -262,9 +216,9 @@ class ScaleNetwork {
  private:
   void Build(const std::vector<EventQueue*>& queues,
              const std::vector<Medium*>& media);
-  // Coordinator half of the pre-merged window barrier: moves every built
-  // run into the merger (k-way across shards), advances the watermark,
-  // and recycles the consumed run buffers back to the builders.
+  // Coordinator half of the streamed window barrier: submits every built
+  // run plus the watermark to the emission pipeline and recycles the run
+  // buffers the consumer has retired back to the builders.
   // `record_profile` is false for the end-of-run tail flush, which is
   // not a window and would skew the per-window percentiles.
   void HandOffRuns(Tick window_end, bool record_profile);
@@ -297,12 +251,11 @@ class ScaleNetwork {
   std::vector<ArenaPtr<Mote>> motes_;
   std::vector<ArenaPtr<RelayApp>> relays_;
   std::vector<ArenaPtr<LplListenerApp>> listeners_;
-  // Parallel barrier pipeline: one pre-merge builder per shard (empty on
-  // the coordinator-sweep and single-engine paths).
+  // Streamed collection: one pre-merge builder per shard (empty on
+  // batch-collected runs).
   std::vector<std::unique_ptr<ShardRunBuilder>> builders_;
-  // One list per shard (serial-hook dirty flush only: batch_log_charging
-  // without the legacy sweep, on a path where the flush is not fused
-  // into the builders' seal pass).
+  // One list per shard (serial dirty flush only: batch_log_charging on a
+  // run whose flush is not fused into the builders' seal pass).
   std::vector<ChargeDirtyList> charge_dirty_;
   std::vector<QuantoLogger*> charge_flush_scratch_;
   bool fused_charge_flush_ = false;

@@ -114,8 +114,8 @@ class QuantoLogger {
   // The charge-dirty set therefore always coincides with the log-dirty
   // set, which is why the fused worker-side flush (ShardRunBuilder's
   // flush+seal pass) reuses the seal dirty list and leaves this hook
-  // unwired — one list, one sort, one pass. This hook remains for the
-  // retained serial-hook path and for collectors without run builders.
+  // unwired — one list, one sort, one pass. This hook serves the serial
+  // flush of batch-collected runs, which have no run builders.
   using ChargeDirtyHook = void (*)(void* ctx, QuantoLogger* logger);
   void SetChargeDirtyHook(ChargeDirtyHook hook, void* ctx) {
     charge_dirty_hook_ = hook;
@@ -128,8 +128,8 @@ class QuantoLogger {
     }
     // Clear before charging: ChargeCycles can re-enter Append (the charge
     // closes a CPU frame, which logs), and those samples belong to the
-    // NEXT flush interval — exactly the old full-sweep semantics, where a
-    // mote flushed once per window regardless of what the flush logged.
+    // NEXT flush interval: a mote flushes once per window regardless of
+    // what the flush logged.
     Cycles cycles = pending_charge_;
     pending_charge_ = 0;
     ++charge_flushes_;
@@ -139,10 +139,9 @@ class QuantoLogger {
   }
 
   // FlushCpuCharge calls that found a nonzero pending charge — i.e. actual
-  // ChargeCycles hand-offs. Identical across the fused worker-side flush,
-  // the serial dirty-list hook and the legacy full sweep (the sweep's
-  // extra visits all hit the zero-pending early return); the charge-flush
-  // equality tests pin exactly that.
+  // ChargeCycles hand-offs. Identical across the fused worker-side flush
+  // and the serial dirty-list flush (visits that owe nothing hit the
+  // zero-pending early return); the charge-flush tests pin exactly that.
   uint64_t charge_flushes() const { return charge_flushes_; }
 
   void SetEnabled(bool enabled) { enabled_ = enabled; }
@@ -271,8 +270,8 @@ class QuantoLogger {
 
   uint64_t chunks_sealed() const { return chunks_sealed_; }
   // SealToSink() calls that found nothing to seal and produced no chunk —
-  // the coordinator-sweep pipeline pays one of these per idle mote per
-  // window; the dirty-list pipeline never even makes the call.
+  // a collector sweeping every mote per window would pay one per idle
+  // mote; the dirty-list builders never even make the call.
   uint64_t empty_seals_skipped() const { return empty_seals_skipped_; }
 
   // Archive + still-buffered entries, in order. This is what the offline

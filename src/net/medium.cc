@@ -175,19 +175,14 @@ MediumFabric::MediumFabric(ShardedSimulator* sim, const Config& config)
     media_.push_back(
         std::unique_ptr<Medium>(new Medium(queues_[s], this, s)));
   }
-  if (config_.serial_drain) {
-    sim->AddBarrierHook([this](Tick window_end) { Drain(window_end); });
-  } else {
-    sim->AddShardDrainTask([this](size_t shard, Tick window_end) {
-      DrainShard(shard, window_end);
-    });
-    // Registered here, at construction, so the retirement hook keeps the
-    // slot the serial drain used to occupy — everything callers register
-    // afterwards (charge flushes, logger handoffs) still runs after the
-    // fabric's barrier work, exactly as before.
-    sim->AddBarrierHook(
-        [this](Tick window_end) { RetireWindowPosts(window_end); });
-  }
+  sim->AddShardDrainTask([this](size_t shard, Tick window_end) {
+    DrainShard(shard, window_end);
+  });
+  // Registered here, at construction, so the retirement hook runs before
+  // everything callers register afterwards (charge flushes, run
+  // hand-offs).
+  sim->AddBarrierHook(
+      [this](Tick window_end) { RetireWindowPosts(window_end); });
 }
 
 void MediumFabric::Post(size_t src_shard, int channel,
@@ -226,8 +221,8 @@ void MediumFabric::DrainShard(size_t dst, Tick barrier_now) {
       // No channel posted in this lane can be one we listen on (a zero
       // AND is exact; mod-64 aliasing only ever forces the per-post path
       // below). One compare dismisses the lane — but the posts still
-      // count as skipped wakeups, keeping the totals identical to the
-      // serial path's per-post accounting.
+      // count as skipped wakeups, exactly as the per-post path counts
+      // them.
       stats.skipped += lane.size();
       ++stats.lanes_skipped;
       cursor[src] = static_cast<uint32_t>(lane.size());
@@ -238,10 +233,9 @@ void MediumFabric::DrainShard(size_t dst, Tick barrier_now) {
 
   // K-way merge over the participating lanes in (time, src_shard, post
   // order): each lane is already time-sorted, and the ascending-src scan
-  // with a strict `<` makes the lowest source shard win time ties — the
-  // exact subsequence, restricted to this destination, of the global
-  // stable_sort order the serial drain produces. Same per-queue Schedule
-  // order, same sequence numbers, byte-identical traces.
+  // with a strict `<` makes the lowest source shard win time ties. The
+  // order depends only on the posts, never on which thread drains, so the
+  // per-queue Schedule order and sequence numbers are thread-invariant.
   while (remaining > 0) {
     size_t best = shards;
     Tick best_time = 0;
@@ -311,83 +305,6 @@ void MediumFabric::RetireWindowPosts(Tick /*window_end*/) {
       max_us = std::max(max_us, stats.last_drain_us);
     }
     drain_us_samples_.push_back(max_us);
-  }
-}
-
-void MediumFabric::Drain(Tick barrier_now) {
-  std::chrono::steady_clock::time_point t0;
-  if (profile_drain_) {
-    t0 = std::chrono::steady_clock::now();
-  }
-  scratch_.clear();
-  for (size_t src = 0; src < posts_.size(); ++src) {
-    std::vector<CrossPost>& shard_posts = posts_[src];
-    stats_[src].cross_posts += shard_posts.size();
-    scratch_.insert(scratch_.end(), shard_posts.begin(), shard_posts.end());
-    shard_posts.clear();
-    lane_channel_mask_[src] = 0;
-  }
-  if (scratch_.empty()) {
-    if (profile_drain_) {
-      drain_us_samples_.push_back(0);
-    }
-    return;
-  }
-  // Per-shard lists are already time-ordered (posts happen in execution
-  // order); a stable sort on (time, source shard) therefore yields one
-  // deterministic total order, so destination engines hand out identical
-  // sequence numbers at every thread count.
-  std::stable_sort(scratch_.begin(), scratch_.end(),
-                   [](const CrossPost& a, const CrossPost& b) {
-                     if (a.time != b.time) {
-                       return a.time < b.time;
-                     }
-                     return a.src_shard < b.src_shard;
-                   });
-  for (const CrossPost& post : scratch_) {
-    Tick deliver = post.time + config_.latency;
-    if (deliver <= barrier_now) {
-      // A post at a window's first tick with latency == window width lands
-      // exactly on the barrier; push it just past it (deterministic: the
-      // barrier time does not depend on the thread count).
-      deliver = barrier_now + 1;
-    }
-    // Shard-interest bitmap: only shards with a client on the post's
-    // channel are visited at all, in ascending shard order (the same
-    // order the probe-every-shard loop produced). Sparse channels skip
-    // the whole fan-out; the skipped count is the saving made observable.
-    const ChannelInterest* interest = InterestFor(post.channel);
-    size_t visited = 0;
-    if (interest != nullptr) {
-      const std::vector<uint64_t>& bits = interest->bits;
-      for (size_t word = 0; word < bits.size(); ++word) {
-        uint64_t w = bits[word];
-        while (w != 0) {
-          size_t dst = word * 64 + static_cast<size_t>(__builtin_ctzll(w));
-          w &= w - 1;
-          if (dst == post.src_shard) {
-            continue;
-          }
-          ++visited;
-          Medium* medium = media_[dst].get();
-          // Refcount bump only — see DrainShard.
-          SharedFrame frame = post.frame;
-          int channel = post.channel;
-          Tick airtime = post.airtime;
-          queues_[dst]->Schedule(deliver, [medium, frame, channel, airtime] {
-            medium->DeliverRemote(frame, channel, airtime);
-          });
-          ++stats_[dst].scheduled;
-        }
-      }
-    }
-    stats_[post.src_shard].skipped += (media_.size() - 1) - visited;
-  }
-  if (profile_drain_) {
-    drain_us_samples_.push_back(static_cast<uint32_t>(
-        std::chrono::duration_cast<std::chrono::microseconds>(
-            std::chrono::steady_clock::now() - t0)
-            .count()));
   }
 }
 

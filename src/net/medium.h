@@ -30,11 +30,10 @@
 // and schedules the deliveries it is interested in onto its own engine;
 // (3) the serial barrier hooks — the fabric's hook merely retires the
 // consumed lanes (O(shards) buffer swaps) so the next drain phase can
-// release the frames in parallel. The merge order is exactly the order
-// the retired global stable_sort produced, so cross-shard delivery — and
-// therefore every downstream event sequence number — is identical at any
-// thread count, and identical to the retained Config::serial_drain path
-// (asserted by tests/fabric_drain_test.cc).
+// release the frames in parallel. Each destination sees the posts in one
+// fixed total order, (time, source shard, post order), so cross-shard
+// delivery — and therefore every downstream event sequence number — is
+// identical at any thread count (pinned by tests/fabric_drain_test.cc).
 #ifndef QUANTO_SRC_NET_MEDIUM_H_
 #define QUANTO_SRC_NET_MEDIUM_H_
 
@@ -178,10 +177,8 @@ class Medium {
 
 // The cross-shard radio interconnect: one Medium replica per shard plus
 // the mailbox/drain machinery. Owns the replicas; registers its drain
-// machinery on the simulator at construction — by default a per-shard
-// drain task on the parallel inter-window phase plus a small serial
-// retirement hook, or (Config::serial_drain) the legacy single-threaded
-// gather+sort drain as a barrier hook.
+// machinery on the simulator at construction — a per-shard drain task on
+// the parallel inter-window phase plus a small serial retirement hook.
 class MediumFabric {
  public:
   struct Config {
@@ -189,11 +186,6 @@ class MediumFabric {
     // Clamped up to the simulator's lookahead — the conservative-lookahead
     // invariant requires latency >= window width.
     Tick latency = Microseconds(512);
-    // Use the pre-PR8 single-threaded gather + global stable_sort drain on
-    // the coordinator instead of the parallel per-destination lane merge.
-    // Kept as the differential-proof baseline: both paths must produce
-    // byte-identical merged traces and identical wakeup counters.
-    bool serial_drain = false;
   };
 
   MediumFabric(ShardedSimulator* sim, const Config& config);
@@ -222,22 +214,17 @@ class MediumFabric {
   // (post, destination shard) pairs the drain never scheduled because the
   // shard-interest bitmap showed no client on the post's channel there —
   // wakeups a bitmap-less drain would have had to consider one by one.
-  // Identical on the serial and parallel paths by construction.
   uint64_t skipped_wakeups() const;
   // (post, destination shard) pairs actually scheduled.
   uint64_t scheduled_wakeups() const;
   // Whole source lanes a destination's drain task dismissed with one
-  // channel-mask AND instead of a per-post scan (parallel path only; the
-  // per-post skips are still accounted in skipped_wakeups so the totals
-  // match the serial path exactly).
+  // channel-mask AND instead of a per-post scan (the lane's posts are
+  // still accounted one by one in skipped_wakeups).
   uint64_t lanes_skipped() const;
 
-  bool serial_drain() const { return config_.serial_drain; }
-
-  // Per-window drain cost in microseconds: on the parallel path the MAX
-  // over the per-destination drain tasks of that window (the phase's
-  // critical path); on the serial path the whole Drain call. Off by
-  // default — one sample per window.
+  // Per-window drain cost in microseconds: the MAX over the
+  // per-destination drain tasks of that window (the phase's critical
+  // path). Off by default — one sample per window.
   void EnableDrainProfiling(bool on) { profile_drain_ = on; }
   const std::vector<uint32_t>& drain_us_samples() const {
     return drain_us_samples_;
@@ -287,9 +274,8 @@ class MediumFabric {
   };
 
   // Per-destination drain bookkeeping, one cache line per shard: written
-  // only by the owning shard's drain task (or, on the serial path, by the
-  // coordinator — which is then the only writer anyway) and summed by the
-  // public accessors on read.
+  // only by the owning shard's drain task (and by the retirement hook,
+  // between drain phases) and summed by the public accessors on read.
   struct alignas(64) ShardDrainStats {
     uint64_t cross_posts = 0;
     uint64_t scheduled = 0;
@@ -318,11 +304,6 @@ class MediumFabric {
   // swaps, the only drain work left on the coordinator.
   void RetireWindowPosts(Tick window_end);
 
-  // Legacy single-threaded drain (Config::serial_drain): gathers all
-  // lanes, stable_sorts on (time, src_shard) and schedules every delivery
-  // from the coordinator. Retained as the differential baseline.
-  void Drain(Tick barrier_now);
-
   Config config_;
   std::vector<std::unique_ptr<Medium>> media_;
   std::vector<EventQueue*> queues_;
@@ -331,7 +312,6 @@ class MediumFabric {
   // shard's next drain task instead of on the serial hook; capacity
   // recycles back into posts_ via the swap in RetireWindowPosts.
   std::vector<std::vector<CrossPost>> retired_;
-  std::vector<CrossPost> scratch_;               // Serial-drain merge buffer.
   std::map<int, ChannelInterest> interest_;      // Keyed by channel.
   std::vector<const ChannelInterest*> interest_by_channel_;  // Dense table.
   // OR of (1 << (channel & 63)) over the posts in each source lane /

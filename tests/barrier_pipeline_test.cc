@@ -3,9 +3,10 @@
 //
 // The contract under test is threefold:
 //  * Equivalence — the pre-merged pipeline emits the exact merged
-//    sequence (order, content, FNV fingerprint, spill bytes) of the
-//    coordinator-sweep pipeline and of the batch merge, at any thread
-//    count.
+//    sequence (order, content, FNV fingerprint, spill bytes) of the batch
+//    merge at any thread count, and the one the deleted coordinator sweep
+//    (every mote sealed by the coordinator each window) emitted, pinned
+//    below as constants.
 //  * Dirty-list economics — an idle mote costs the collector nothing: no
 //    sweep visit, no seal call, no chunk, no merger churn.
 //  * Recycling — after warm-up, the seal -> merge -> recycle loop
@@ -18,6 +19,7 @@
 #include <string>
 #include <vector>
 
+#include "src/analysis/emission_pipeline.h"
 #include "src/analysis/streaming.h"
 #include "src/analysis/trace_io.h"
 #include "src/analysis/trace_merge.h"
@@ -236,8 +238,9 @@ TEST(TraceChunkPoolTest, SteadyStateSealAndMergeAllocateNothing) {
       merger.OnRun(0, builder.TakeRun());
     }
     merger.AdvanceWatermark(barrier);
-    std::vector<MergedEntry> buf;
-    if (merger.TakeRetiredRun(&buf)) {
+    std::vector<std::vector<MergedEntry>> retired;
+    merger.TakeRetiredRuns(&retired);
+    for (std::vector<MergedEntry>& buf : retired) {
       builder.RecycleRunBuffer(std::move(buf));
     }
     if (window == 4) {
@@ -256,32 +259,6 @@ TEST(TraceChunkPoolTest, SteadyStateSealAndMergeAllocateNothing) {
   EXPECT_EQ(merger.buffered(), 0u);
 }
 
-TEST(TraceChunkPoolTest, MergerRecyclesChunkBuffersThroughSharedPool) {
-  // The coordinator-sweep pipeline's version of the same loop: logger and
-  // merger share one pool directly (no builder in between).
-  FakeClock clock;
-  FakeCounter meter;
-  TraceChunkPool pool;
-  StreamingTraceMerger merger;
-  merger.SetChunkPool(&pool);
-  QuantoLogger logger(&clock, &meter, 64);
-  logger.SetSink(&merger, 9);
-  logger.SetChunkPool(&pool);
-
-  for (int window = 0; window < 20; ++window) {
-    clock.now = 100 * (window + 1);
-    logger.Append(LogEntryType::kPowerState, 0, window);
-    logger.SealToSink();
-    merger.AdvanceWatermark(clock.now + 1);
-  }
-  merger.Finish();
-  EXPECT_EQ(merger.emitted(), 20u);
-  EXPECT_EQ(pool.acquired(), 20u);
-  EXPECT_EQ(pool.recycled(), 20u);
-  // One buffer circulates once the seal->ingest->recycle loop is warm.
-  EXPECT_EQ(pool.allocated(), 1u);
-}
-
 // --- End-to-end equivalence --------------------------------------------------
 
 struct PipelineRun {
@@ -298,7 +275,22 @@ struct PipelineRun {
   PipelineResult fit;
 };
 
-enum class SealMode { kBatch, kCoordinator, kPremerged };
+// What the deleted coordinator sweep emitted on the two streamed chain
+// workloads below (1 thread, 512-entry rings).
+struct PinnedSweep {
+  uint64_t executed;
+  uint64_t windows;
+  uint64_t merge_hash;
+  uint64_t emitted;
+  uint64_t chunks_sealed;
+  uint64_t empty_seals_skipped;  // One per idle mote per window.
+};
+constexpr PinnedSweep kSweep64x1500ms = {13838, 709, 0xf6c24634ad9d974full,
+                                         27728, 6041, 39399};
+constexpr PinnedSweep kSweep48x500ms = {2494, 112, 0x335d2ceef3d302d9ull,
+                                        4432, 921, 4503};
+
+enum class SealMode { kBatch, kPremerged };
 
 PipelineRun RunRelay(SealMode mode, size_t threads, size_t motes,
                      double seconds, size_t log_capacity,
@@ -323,21 +315,17 @@ PipelineRun RunRelay(SealMode mode, size_t threads, size_t motes,
     merger.SetEmit(
         [pipeline](const MergedEntry& m) { pipeline->Add(m.entry); });
   }
+  // Joins before merger/spill are destroyed (reverse declaration order).
+  EmissionPipeline emission(&merger);
 
   ScaleNetworkConfig cfg;
   cfg.motes = motes;
   cfg.log_capacity = log_capacity;
   cfg.batch_log_charging = true;
   if (mode == SealMode::kPremerged) {
-    cfg.premerged_sink = &merger;
-  } else if (mode == SealMode::kCoordinator) {
-    cfg.trace_sink = &merger;
+    cfg.emission_pipeline = &emission;
   }
   ScaleNetwork net(&sim, &fabric, cfg);
-  if (mode == SealMode::kCoordinator) {
-    sim.AddBarrierHook(
-        [&merger](Tick window_end) { merger.AdvanceWatermark(window_end); });
-  }
 
   net.PowerUp();
   sim.RunFor(Milliseconds(5));
@@ -363,7 +351,7 @@ PipelineRun RunRelay(SealMode mode, size_t threads, size_t motes,
     merger.Finish();
     run.merge_hash = merger.hash();
     run.emitted = merger.emitted();
-    run.seq_gaps = merger.seq_gaps() + net.premerge_seq_gaps();
+    run.seq_gaps = net.premerge_seq_gaps();
     run.seal_calls = net.premerge_seal_calls();
     run.chunks_sealed = net.chunks_sealed();
     run.empty_seals_skipped = net.empty_seals_skipped();
@@ -380,17 +368,15 @@ PipelineRun RunRelay(SealMode mode, size_t threads, size_t motes,
 TEST(BarrierPipelineTest, PremergedMatchesCoordinatorSealAndBatchAt1_2_4) {
   // The golden-hash equivalence proof for the parallel barrier pipeline:
   // identical event sequences, merged fingerprints and streamed
-  // regression coefficients vs both the PR 4 coordinator sweep and the
-  // batch merge, at 1, 2 and 4 worker threads.
+  // regression coefficients vs the batch merge and the coordinator
+  // sweep's pinned output, at 1, 2 and 4 worker threads.
   StreamingPipeline batch_pipeline;
   PipelineRun batch =
       RunRelay(SealMode::kBatch, 1, 64, 1.5, 1 << 16, &batch_pipeline);
   ASSERT_GT(batch.emitted, 1000u);
-
-  StreamingPipeline coord_pipeline;
-  PipelineRun coordinator = RunRelay(SealMode::kCoordinator, 1, 64, 1.5, 512,
-                                     &coord_pipeline);
-  EXPECT_EQ(coordinator.merge_hash, batch.merge_hash);
+  EXPECT_EQ(batch.executed, kSweep64x1500ms.executed);
+  EXPECT_EQ(batch.emitted, kSweep64x1500ms.emitted);
+  EXPECT_EQ(batch.merge_hash, kSweep64x1500ms.merge_hash);
 
   for (size_t threads : {size_t{1}, size_t{2}, size_t{4}}) {
     StreamingPipeline premerge_pipeline;
@@ -413,29 +399,34 @@ TEST(BarrierPipelineTest, PremergedMatchesCoordinatorSealAndBatchAt1_2_4) {
 
     // Dirty-list economics: seal cost is O(motes that logged), far below
     // the motes * windows cost of a full sweep, and every seal produced a
-    // chunk (no empty-seal churn at all on this pipeline).
+    // chunk (no empty-seal churn at all on this pipeline) — the same
+    // chunks the sweep sealed.
     EXPECT_GT(premerged.seal_calls, 0u);
     EXPECT_LT(premerged.seal_calls, premerged.windows * premerged.motes / 4)
         << threads;
     EXPECT_EQ(premerged.seal_calls, premerged.chunks_sealed) << threads;
+    EXPECT_EQ(premerged.chunks_sealed, kSweep64x1500ms.chunks_sealed)
+        << threads;
     EXPECT_EQ(premerged.empty_seals_skipped, 0u) << threads;
   }
 }
 
 TEST(BarrierPipelineTest, CoordinatorSweepPaysEmptySealsPremergeDoesNot) {
   // The counter-level statement of the empty-seal satellite: the sweep
-  // visits every mote every window (idle visits counted by
-  // empty_seals_skipped, and suppressed before reaching the merger); the
-  // dirty-list pipeline never makes the visit in the first place.
-  PipelineRun coordinator = RunRelay(SealMode::kCoordinator, 1, 48, 0.5, 512);
-  EXPECT_GT(coordinator.empty_seals_skipped, 0u);
-  EXPECT_GT(coordinator.chunks_sealed, 0u);
-  EXPECT_LT(coordinator.chunks_sealed,
-            coordinator.windows * coordinator.motes);
+  // visited every mote every window (idle visits counted by
+  // empty_seals_skipped — pinned below); the dirty-list pipeline never
+  // makes the visit in the first place, and seals the same chunks.
+  const PinnedSweep& sweep = kSweep48x500ms;
+  EXPECT_GT(sweep.empty_seals_skipped, 0u);
+  EXPECT_LT(sweep.chunks_sealed, sweep.windows * 48);
 
   PipelineRun premerged = RunRelay(SealMode::kPremerged, 1, 48, 0.5, 512);
   EXPECT_EQ(premerged.empty_seals_skipped, 0u);
-  EXPECT_EQ(premerged.merge_hash, coordinator.merge_hash);
+  EXPECT_EQ(premerged.chunks_sealed, sweep.chunks_sealed);
+  EXPECT_EQ(premerged.windows, sweep.windows);
+  EXPECT_EQ(premerged.executed, sweep.executed);
+  EXPECT_EQ(premerged.emitted, sweep.emitted);
+  EXPECT_EQ(premerged.merge_hash, sweep.merge_hash);
 }
 
 TEST(BarrierPipelineTest, SpillBytesIdenticalToBatchWriter) {
@@ -482,29 +473,6 @@ TEST(BarrierPipelineTest, SpillBytesIdenticalToBatchWriter) {
   EXPECT_EQ(spill_bytes, batch_bytes);
   std::remove(batch_path.c_str());
   std::remove(spill_path.c_str());
-}
-
-TEST(BarrierPipelineTest, SingleEngineBuildDegradesToPlainStreaming) {
-  // A single-engine build has no shards to pre-merge across: the config
-  // degrades to plain streamed collection into the same merger, driven by
-  // manual SealAllChunks.
-  EventQueue queue;
-  Medium medium(&queue);
-  StreamingTraceMerger merger;
-  ScaleNetworkConfig cfg;
-  cfg.motes = 8;
-  cfg.log_capacity = 1 << 12;
-  cfg.premerged_sink = &merger;
-  ScaleNetwork net(&queue, &medium, cfg);
-  EXPECT_FALSE(net.premerge_active());
-  net.PowerUp();
-  queue.RunFor(Milliseconds(5));
-  net.StartApps();
-  queue.RunFor(Seconds(0.2));
-  net.SealAllChunks();
-  merger.Finish();
-  EXPECT_GT(merger.emitted(), 10u);
-  EXPECT_EQ(merger.seq_gaps(), 0u);
 }
 
 }  // namespace

@@ -1,17 +1,20 @@
 // The fused worker-side charge flush: one dirty pass per mote-window.
 //
-// PR 9 moved the batched CPU self-charge flush off the serial barrier
-// hook and fused it into the per-shard pre-barrier seal pass
-// (ShardRunBuilder::BuildRun with flush_charges), reusing the seal dirty
-// list as the unified dirty list. The contract under test is fourfold:
-//  * Equivalence — the fused path reproduces the serial-hook and legacy-
-//    sweep simulations event for event: equal merged-trace hashes (batch
-//    and streamed), equal executed-event counts, at 1/2/4 threads, on
-//    both topologies.
+// A streamed sharded run flushes the batched CPU self-charge inside the
+// per-shard pre-barrier seal pass (ShardRunBuilder::BuildRun with
+// flush_charges), reusing the seal dirty list as the unified dirty list;
+// a batch-collected run flushes on the serial dirty-list barrier hook.
+// The contract under test is fourfold:
+//  * Equivalence — the fused flush reproduces the serial-hook flush and
+//    the deleted full per-window sweep event for event: equal
+//    merged-trace hashes, equal executed-event counts, at 1/2/4 threads,
+//    on both topologies. The serial hook is compared live (on batch
+//    runs); what the streamed serial hook and the full sweep produced
+//    before they were deleted is pinned as constants.
 //  * One pass, not two — fused and serial-hook runs visit exactly the
 //    same dirty loggers (charge_flush_visits equal), and every visit that
-//    owed cycles handed them over (charge_flushes equal across all three
-//    paths, legacy sweep included — its extra visits are zero-pending
+//    owed cycles handed them over (charge_flushes equal across all the
+//    flushes, full sweep included — its extra visits were zero-pending
 //    no-ops).
 //  * Order — a shard's fused pass flushes in ascending node-id order,
 //    the historical sweep's per-queue order.
@@ -24,6 +27,7 @@
 
 #include <vector>
 
+#include "src/analysis/emission_pipeline.h"
 #include "src/analysis/trace_merge.h"
 #include "src/apps/scale_network.h"
 #include "src/core/logger.h"
@@ -62,16 +66,10 @@ class RecordingChargeHook : public CpuChargeHook {
   uint32_t id_;
 };
 
-// --- Three-path workload equivalence ----------------------------------------
-
-// Which of the three retained flush paths a run takes.
-enum class FlushPath { kFused, kSerialHook, kLegacySweep };
+// --- Flush equivalence -------------------------------------------------------
 
 struct FlushRun {
-  uint64_t streamed_hash = 0;  // The merger's online fingerprint.
-  uint64_t batch_hash = 0;     // Post-hoc merge of the unsealed tails: 0
-                               // here (streamed runs leave no tail), kept
-                               // for the batch variant below.
+  uint64_t hash = 0;  // Streamed: the merger's online fingerprint.
   uint64_t visits = 0;
   uint64_t windows = 0;
   uint64_t flushes = 0;  // Nonzero-pending FlushCpuCharge calls.
@@ -79,14 +77,30 @@ struct FlushRun {
   bool fused = false;
 };
 
-FlushRun RunStreamed(ScaleTopology topology, size_t threads, FlushPath path) {
-  ShardedSimulator::Config sim_cfg;
-  sim_cfg.shards = 8;
-  sim_cfg.threads = threads;
-  sim_cfg.lookahead = Microseconds(512);
-  ShardedSimulator sim(sim_cfg);
-  MediumFabric fabric(&sim);
-  StreamingTraceMerger merger;
+// What the deleted flushes produced on the 128-mote, 1 s workload below
+// (streamed, 8 shards): the serial dirty-list hook on a streamed run and
+// the full per-window sweep of every mote. Both gave the same hash,
+// executed events, windows and flushes; they differ only in visits.
+struct PinnedFlush {
+  uint64_t hash;
+  uint64_t executed;
+  uint64_t windows;
+  uint64_t flushes;
+  uint64_t serial_hook_visits;
+  uint64_t sweep_visits;  // windows × 128, exactly.
+};
+constexpr PinnedFlush kPinnedChain = {0xd1b29c4685849863ull, 15150, 496,
+                                      7635, 7635, 63488};
+constexpr PinnedFlush kPinnedGrid = {0x0514f8a8d5a22297ull, 13655, 257,
+                                     4245, 4245, 32896};
+static_assert(kPinnedChain.sweep_visits == kPinnedChain.windows * 128);
+static_assert(kPinnedGrid.sweep_visits == kPinnedGrid.windows * 128);
+
+const PinnedFlush& Pinned(ScaleTopology topology) {
+  return topology == ScaleTopology::kGrid ? kPinnedGrid : kPinnedChain;
+}
+
+ScaleNetworkConfig FlushConfig(ScaleTopology topology) {
   ScaleNetworkConfig cfg;
   cfg.motes = 128;
   cfg.topology = topology;
@@ -94,9 +108,25 @@ FlushRun RunStreamed(ScaleTopology topology, size_t threads, FlushPath path) {
     cfg.sinks = 4;
   }
   cfg.batch_log_charging = true;
-  cfg.serial_charge_flush = path == FlushPath::kSerialHook;
-  cfg.legacy_full_charge_sweep = path == FlushPath::kLegacySweep;
-  cfg.premerged_sink = &merger;
+  return cfg;
+}
+
+ShardedSimulator::Config SimConfig(size_t threads) {
+  ShardedSimulator::Config sim_cfg;
+  sim_cfg.shards = 8;
+  sim_cfg.threads = threads;
+  sim_cfg.lookahead = Microseconds(512);
+  return sim_cfg;
+}
+
+// Streamed run: the flush is fused into the shard workers' seal pass.
+FlushRun RunStreamed(ScaleTopology topology, size_t threads) {
+  ShardedSimulator sim(SimConfig(threads));
+  MediumFabric fabric(&sim);
+  StreamingTraceMerger merger;
+  EmissionPipeline emission(&merger);
+  ScaleNetworkConfig cfg = FlushConfig(topology);
+  cfg.emission_pipeline = &emission;
   cfg.log_capacity = 1024;
   ScaleNetwork net(&sim, &fabric, cfg);
   net.PowerUp();
@@ -106,7 +136,7 @@ FlushRun RunStreamed(ScaleTopology topology, size_t threads, FlushPath path) {
   net.SealAllChunks();
   merger.Finish();
   FlushRun r;
-  r.streamed_hash = merger.hash();
+  r.hash = merger.hash();
   r.visits = net.charge_flush_visits();
   r.windows = net.charge_flush_windows();
   r.flushes = net.charge_flushes();
@@ -115,45 +145,47 @@ FlushRun RunStreamed(ScaleTopology topology, size_t threads, FlushPath path) {
   return r;
 }
 
-// Batch-collected variant (no sink, builders absent, so the flush is the
-// serial hook regardless of the flag): the reference the streamed hashes
-// must equal.
-uint64_t RunBatchHash(ScaleTopology topology, size_t threads) {
-  ShardedSimulator::Config sim_cfg;
-  sim_cfg.shards = 8;
-  sim_cfg.threads = threads;
-  sim_cfg.lookahead = Microseconds(512);
-  ShardedSimulator sim(sim_cfg);
+// Batch-collected run (no pipeline, so no builders): the flush is the
+// serial dirty-list hook, and the hash is the post-hoc batch merge — the
+// reference the streamed hashes must equal.
+FlushRun RunBatch(ScaleTopology topology, size_t threads) {
+  ShardedSimulator sim(SimConfig(threads));
   MediumFabric fabric(&sim);
-  ScaleNetworkConfig cfg;
-  cfg.motes = 128;
-  cfg.topology = topology;
-  if (topology == ScaleTopology::kGrid) {
-    cfg.sinks = 4;
-  }
-  cfg.batch_log_charging = true;
-  ScaleNetwork net(&sim, &fabric, cfg);
+  ScaleNetwork net(&sim, &fabric, FlushConfig(topology));
   net.PowerUp();
   sim.RunFor(Milliseconds(5));
   net.StartApps();
   sim.RunFor(Seconds(1.0));
-  return MergedTraceHash(MergeTraces(CollectNodeTraces(net)));
+  FlushRun r;
+  r.hash = MergedTraceHash(MergeTraces(CollectNodeTraces(net)));
+  r.visits = net.charge_flush_visits();
+  r.windows = net.charge_flush_windows();
+  r.flushes = net.charge_flushes();
+  r.executed = sim.executed_count();
+  r.fused = net.fused_charge_flush();
+  return r;
 }
 
 class ChargeFlushPathTest : public ::testing::TestWithParam<ScaleTopology> {};
 
 TEST_P(ChargeFlushPathTest, FusedMatchesSerialHookAcrossThreadCounts) {
   ScaleTopology topo = GetParam();
-  FlushRun serial = RunStreamed(topo, 1, FlushPath::kSerialHook);
+  const PinnedFlush& pinned = Pinned(topo);
+  FlushRun serial = RunBatch(topo, 1);
   EXPECT_FALSE(serial.fused);
   EXPECT_GT(serial.visits, 0u);
+  // The live serial hook still does what it did on streamed runs.
+  EXPECT_EQ(serial.hash, pinned.hash);
+  EXPECT_EQ(serial.executed, pinned.executed);
+  EXPECT_EQ(serial.windows, pinned.windows);
+  EXPECT_EQ(serial.visits, pinned.serial_hook_visits);
+  EXPECT_EQ(serial.flushes, pinned.flushes);
   for (size_t threads : {size_t{1}, size_t{2}, size_t{4}}) {
-    FlushRun fused = RunStreamed(topo, threads, FlushPath::kFused);
+    FlushRun fused = RunStreamed(topo, threads);
     EXPECT_TRUE(fused.fused) << "threads " << threads;
     // Same simulation, event for event and byte for byte.
     EXPECT_EQ(fused.executed, serial.executed) << "threads " << threads;
-    EXPECT_EQ(fused.streamed_hash, serial.streamed_hash)
-        << "threads " << threads;
+    EXPECT_EQ(fused.hash, serial.hash) << "threads " << threads;
     // One pass per dirty mote per window, not two: the fused walk visits
     // exactly the loggers the serial hook's charge-dirty lists held (the
     // unified-dirty-list coincidence), and every visit flushed.
@@ -166,26 +198,25 @@ TEST_P(ChargeFlushPathTest, FusedMatchesSerialHookAcrossThreadCounts) {
 
 TEST_P(ChargeFlushPathTest, LegacySweepMatchesFusedHashAndFlushes) {
   ScaleTopology topo = GetParam();
-  FlushRun fused = RunStreamed(topo, 2, FlushPath::kFused);
-  FlushRun sweep = RunStreamed(topo, 2, FlushPath::kLegacySweep);
-  EXPECT_FALSE(sweep.fused);
-  EXPECT_EQ(sweep.streamed_hash, fused.streamed_hash);
-  EXPECT_EQ(sweep.executed, fused.executed);
-  // The sweep visits every mote every window, exactly; only the visits
-  // that owed cycles charged anything, and those equal the fused flushes.
-  EXPECT_EQ(sweep.visits, sweep.windows * 128);
-  EXPECT_EQ(sweep.flushes, fused.flushes);
+  const PinnedFlush& sweep = Pinned(topo);
+  FlushRun fused = RunStreamed(topo, 2);
+  EXPECT_EQ(fused.hash, sweep.hash);
+  EXPECT_EQ(fused.executed, sweep.executed);
+  EXPECT_EQ(fused.windows, sweep.windows);
+  // The sweep visited every mote every window; only the visits that owed
+  // cycles charged anything, and those equal the fused flushes.
+  EXPECT_EQ(fused.flushes, sweep.flushes);
   // The fused list stays sparse: that is what the sweep's extra visits
   // were paying for.
-  EXPECT_LT(fused.visits, fused.windows * 128 / 4);
+  EXPECT_LT(fused.visits, sweep.sweep_visits / 4);
 }
 
 TEST_P(ChargeFlushPathTest, StreamedFusedMatchesBatchCollection) {
   ScaleTopology topo = GetParam();
-  uint64_t batch = RunBatchHash(topo, 2);
+  uint64_t batch = RunBatch(topo, 2).hash;
   for (size_t threads : {size_t{1}, size_t{2}}) {
-    FlushRun fused = RunStreamed(topo, threads, FlushPath::kFused);
-    EXPECT_EQ(fused.streamed_hash, batch) << "threads " << threads;
+    FlushRun fused = RunStreamed(topo, threads);
+    EXPECT_EQ(fused.hash, batch) << "threads " << threads;
   }
 }
 
@@ -245,7 +276,7 @@ TEST(FusedFlushOrderTest, FlushesInAscendingNodeIdOrder) {
 
 TEST(FusedFlushOrderTest, UnfusedBuildRunLeavesChargesPending) {
   // The tail flush (SealAllChunks) passes flush_charges=false: charges
-  // stay pending, matching the serial paths, which never flush at the
+  // stay pending, matching the serial flush, which never runs at the
   // tail either — visit parity depends on it.
   FakeClock clock;
   FakeCounter meter;

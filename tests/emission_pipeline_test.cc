@@ -4,14 +4,16 @@
 // The contract under test:
 //  * Equivalence — with the consumer thread between the barrier and the
 //    merger, the emitted sequence, FNV fingerprint, spill bytes and
-//    streamed regression coefficients are byte-identical to the
-//    synchronous pre-merged path (and the batch merge) at any thread
-//    count and any queue depth.
+//    streamed regression coefficients are byte-identical to the batch
+//    merge at any thread count and any queue depth, and to what the
+//    deleted synchronous hand-off (merge inside the barrier) emitted,
+//    pinned below as constants.
 //  * Backpressure — the bounded queue blocks the producer only when the
 //    consumer falls max_depth windows behind, and the stall is counted.
 //  * Lifecycle — early teardown joins the consumer after finishing the
-//    queue (no merge loss, no use-after-free of pooled buffers), and the
-//    tail flush drains the queue before the final hash is read.
+//    queue (no merge loss, no use-after-free of pooled buffers), the
+//    tail flush drains the queue before the final hash is read, and a
+//    single-engine network refuses a pipeline it could never feed.
 
 #include <gtest/gtest.h>
 
@@ -196,7 +198,17 @@ struct PipelineRun {
   PipelineResult fit;
 };
 
-enum class EmitMode { kBatch, kSyncPremerged, kAsync };
+// What the deleted synchronous hand-off emitted on the two streamed
+// chain workloads below (1 thread, 512-entry rings).
+struct PinnedSync {
+  uint64_t executed;
+  uint64_t merge_hash;
+  uint64_t emitted;
+};
+constexpr PinnedSync kSync64x1s = {8838, 0x109cc5693aea4154ull, 17982};
+constexpr PinnedSync kSync48x500ms = {2494, 0x335d2ceef3d302d9ull, 4432};
+
+enum class EmitMode { kBatch, kAsync };
 
 PipelineRun RunRelay(EmitMode mode, size_t threads, size_t motes,
                      double seconds, size_t emission_depth,
@@ -230,13 +242,9 @@ PipelineRun RunRelay(EmitMode mode, size_t threads, size_t motes,
   if (mode == EmitMode::kAsync) {
     emission = std::make_unique<EmissionPipeline>(&merger, emission_depth);
     cfg.emission_pipeline = emission.get();
-  } else if (mode == EmitMode::kSyncPremerged) {
-    cfg.premerged_sink = &merger;
   }
   ScaleNetwork net(&sim, &fabric, cfg);
-  if (mode == EmitMode::kAsync) {
-    EXPECT_TRUE(net.async_emission_active());
-  }
+  EXPECT_EQ(net.premerge_active(), mode == EmitMode::kAsync);
 
   net.PowerUp();
   sim.RunFor(Milliseconds(5));
@@ -256,18 +264,16 @@ PipelineRun RunRelay(EmitMode mode, size_t threads, size_t motes,
       }
     }
   } else {
-    // SealAllChunks drains the hand-off queue on the async path, so the
-    // hash read below is the final one.
+    // SealAllChunks drains the hand-off queue, so the hash read below is
+    // the final one.
     net.SealAllChunks();
     merger.Finish();
     run.merge_hash = merger.hash();
     run.emitted = merger.emitted();
-    run.seq_gaps = merger.seq_gaps() + net.premerge_seq_gaps();
-    if (emission != nullptr) {
-      run.stall_us = emission->consumer_stall_us();
-      run.runs_queued_peak = emission->runs_queued_peak();
-      EXPECT_EQ(emission->windows_submitted(), emission->windows_consumed());
-    }
+    run.seq_gaps = net.premerge_seq_gaps();
+    run.stall_us = emission->consumer_stall_us();
+    run.runs_queued_peak = emission->runs_queued_peak();
+    EXPECT_EQ(emission->windows_submitted(), emission->windows_consumed());
   }
   if (spill != nullptr) {
     EXPECT_TRUE(spill->Close());
@@ -281,17 +287,15 @@ PipelineRun RunRelay(EmitMode mode, size_t threads, size_t motes,
 TEST(EmissionPipelineTest, AsyncMatchesSyncAndBatchAt1_2_4Threads) {
   // The golden-hash equivalence proof for off-barrier emission: identical
   // event sequences, merged fingerprints and bitwise-equal streamed
-  // regression coefficients vs the synchronous pre-merged path and the
-  // batch merge, at 1, 2 and 4 worker threads.
+  // regression coefficients vs the batch merge and the synchronous
+  // hand-off's pinned output, at 1, 2 and 4 worker threads.
   StreamingPipeline batch_pipeline;
   PipelineRun batch =
       RunRelay(EmitMode::kBatch, 1, 64, 1.0, 0, &batch_pipeline);
   ASSERT_GT(batch.emitted, 1000u);
-
-  StreamingPipeline sync_pipeline;
-  PipelineRun sync =
-      RunRelay(EmitMode::kSyncPremerged, 1, 64, 1.0, 0, &sync_pipeline);
-  EXPECT_EQ(sync.merge_hash, batch.merge_hash);
+  EXPECT_EQ(batch.executed, kSync64x1s.executed);
+  EXPECT_EQ(batch.emitted, kSync64x1s.emitted);
+  EXPECT_EQ(batch.merge_hash, kSync64x1s.merge_hash);
 
   for (size_t threads : {size_t{1}, size_t{2}, size_t{4}}) {
     StreamingPipeline async_pipeline;
@@ -317,13 +321,13 @@ TEST(EmissionPipelineTest, AsyncMatchesSyncAndBatchAt1_2_4Threads) {
 TEST(EmissionPipelineTest, TailFlushDrainsTinyDepthQueueBeforeFinalHash) {
   // Depth 1 forces the producer through the backpressure path on nearly
   // every window; the tail flush must still drain everything before the
-  // final hash — asserted byte-identical to the synchronous path.
-  PipelineRun sync = RunRelay(EmitMode::kSyncPremerged, 1, 48, 0.5, 0);
+  // final hash — asserted equal to what the synchronous hand-off emitted.
   PipelineRun tiny = RunRelay(EmitMode::kAsync, 1, 48, 0.5, 1);
   EXPECT_EQ(tiny.dropped, 0u);
   EXPECT_EQ(tiny.seq_gaps, 0u);
-  EXPECT_EQ(tiny.emitted, sync.emitted);
-  EXPECT_EQ(tiny.merge_hash, sync.merge_hash);
+  EXPECT_EQ(tiny.executed, kSync48x500ms.executed);
+  EXPECT_EQ(tiny.emitted, kSync48x500ms.emitted);
+  EXPECT_EQ(tiny.merge_hash, kSync48x500ms.merge_hash);
   // Backpressure kept the queue at its bound, whatever the stall count.
   EXPECT_GE(tiny.runs_queued_peak, 1u);
 }
@@ -372,32 +376,25 @@ TEST(EmissionPipelineTest, SpillBytesIdenticalAcrossAsyncAndBatchWriter) {
   std::remove(async_path.c_str());
 }
 
-TEST(EmissionPipelineTest, SingleEngineBuildDegradesToPlainStreaming) {
-  // A single engine has no window barriers to emit behind: the config
-  // degrades to plain streamed collection into the pipeline's merger,
-  // driven by manual SealAllChunks; the consumer thread stays idle and
-  // the pipeline tears down cleanly around it.
-  EventQueue queue;
-  Medium medium(&queue);
-  StreamingTraceMerger merger;
-  EmissionPipeline pipeline(&merger, 2);
-  ScaleNetworkConfig cfg;
-  cfg.motes = 8;
-  cfg.log_capacity = 1 << 12;
-  cfg.emission_pipeline = &pipeline;
-  ScaleNetwork net(&queue, &medium, cfg);
-  EXPECT_FALSE(net.premerge_active());
-  EXPECT_FALSE(net.async_emission_active());
-  net.PowerUp();
-  queue.RunFor(Milliseconds(5));
-  net.StartApps();
-  queue.RunFor(Seconds(0.2));
-  net.SealAllChunks();
-  pipeline.Drain();  // No-op, but must not hang or race.
-  merger.Finish();
-  EXPECT_GT(merger.emitted(), 10u);
-  EXPECT_EQ(merger.seq_gaps(), 0u);
-  EXPECT_EQ(pipeline.windows_submitted(), 0u);
+TEST(EmissionPipelineTest, SingleEngineBuildRefusesAPipeline) {
+  // A single engine has no window barriers to seal and emit behind, so a
+  // pipeline handed to it would never see a run and its merger would
+  // silently hash an empty trace. Construction must abort instead.
+  // Threadsafe style: the death statement runs in a freshly executed
+  // child, whatever threads the test process holds.
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  EXPECT_DEATH(
+      {
+        EventQueue queue;
+        Medium medium(&queue);
+        StreamingTraceMerger merger;
+        EmissionPipeline pipeline(&merger);
+        ScaleNetworkConfig cfg;
+        cfg.motes = 8;
+        cfg.emission_pipeline = &pipeline;
+        ScaleNetwork net(&queue, &medium, cfg);
+      },
+      "emission pipeline needs a sharded build");
 }
 
 }  // namespace

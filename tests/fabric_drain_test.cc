@@ -1,8 +1,9 @@
-// Differential proof for the parallel fabric drain (PR 8): the
-// destination-owned k-way lane merge must be observationally identical to
-// the retained serial gather+stable_sort path — byte-identical merged
-// traces at 1/2/4 worker threads, identical wakeup counters — while the
-// lane-skip fast path and the per-window drain profiling actually engage.
+// The parallel fabric drain: the destination-owned k-way lane merge must
+// reproduce, at 1/2/4 worker threads, what the single-threaded
+// gather + global stable_sort drain it replaced produced — byte-identical
+// merged traces and identical wakeup counters, pinned below as constants
+// recorded from that drain — while the lane-skip fast path and the
+// per-window drain profiling actually engage.
 
 #include <gtest/gtest.h>
 
@@ -27,18 +28,28 @@ struct DrainRun {
   size_t merged_entries = 0;
 };
 
-// One full workload under either drain path. The workload itself is the
-// same flood/relay network the determinism suite uses; what varies here
-// is the fabric configuration.
-DrainRun RunWorkload(size_t threads, bool serial_drain, ScaleTopology topology) {
+// What the serial gather + stable_sort drain produced on the two
+// workloads below (1 thread), before it was deleted.
+constexpr DrainRun kSerialDrainGrid = {
+    /*executed=*/10622,         /*cross_posts=*/27,
+    /*scheduled_wakeups=*/189,  /*skipped_wakeups=*/0,
+    /*packets_delivered=*/429,  /*merge_hash=*/0xfc49597e74fa4023ull,
+    /*merged_entries=*/17251};
+constexpr DrainRun kSerialDrainChain = {
+    /*executed=*/8838,          /*cross_posts=*/45,
+    /*scheduled_wakeups=*/315,  /*skipped_wakeups=*/0,
+    /*packets_delivered=*/1155, /*merge_hash=*/0x109cc5693aea4154ull,
+    /*merged_entries=*/17982};
+
+// One full workload, batch-collected. The workload itself is the same
+// flood/relay network the determinism suite uses.
+DrainRun RunWorkload(size_t threads, ScaleTopology topology) {
   ShardedSimulator::Config sim_cfg;
   sim_cfg.shards = 8;
   sim_cfg.threads = threads;
   sim_cfg.lookahead = Microseconds(512);
   ShardedSimulator sim(sim_cfg);
-  MediumFabric::Config fab_cfg;
-  fab_cfg.serial_drain = serial_drain;
-  MediumFabric fabric(&sim, fab_cfg);
+  MediumFabric fabric(&sim);
 
   ScaleNetworkConfig cfg;
   cfg.motes = topology == ScaleTopology::kGrid ? 96 : 64;
@@ -76,31 +87,26 @@ void ExpectIdentical(const DrainRun& a, const DrainRun& b) {
 }
 
 TEST(FabricDrainTest, GridMultiSinkParallelMatchesSerialAt1_2_4Threads) {
-  DrainRun serial = RunWorkload(1, /*serial_drain=*/true, ScaleTopology::kGrid);
   // The workload must exercise the cross-shard machinery, or the
   // comparison proves nothing.
-  EXPECT_GT(serial.cross_posts, 0u);
-  EXPECT_GT(serial.scheduled_wakeups, 0u);
-  EXPECT_GT(serial.merged_entries, 1000u);
+  EXPECT_GT(kSerialDrainGrid.cross_posts, 0u);
+  EXPECT_GT(kSerialDrainGrid.scheduled_wakeups, 0u);
+  EXPECT_GT(kSerialDrainGrid.merged_entries, 1000u);
 
   for (size_t threads : {size_t{1}, size_t{2}, size_t{4}}) {
     SCOPED_TRACE("parallel drain, " + std::to_string(threads) + " threads");
-    ExpectIdentical(serial,
-                    RunWorkload(threads, /*serial_drain=*/false,
-                                ScaleTopology::kGrid));
+    ExpectIdentical(kSerialDrainGrid,
+                    RunWorkload(threads, ScaleTopology::kGrid));
   }
 }
 
 TEST(FabricDrainTest, ChainParallelMatchesSerialAt1_2_4Threads) {
-  DrainRun serial =
-      RunWorkload(1, /*serial_drain=*/true, ScaleTopology::kChain);
-  EXPECT_GT(serial.cross_posts, 0u);
+  EXPECT_GT(kSerialDrainChain.cross_posts, 0u);
 
   for (size_t threads : {size_t{1}, size_t{2}, size_t{4}}) {
     SCOPED_TRACE("parallel drain, " + std::to_string(threads) + " threads");
-    ExpectIdentical(serial,
-                    RunWorkload(threads, /*serial_drain=*/false,
-                                ScaleTopology::kChain));
+    ExpectIdentical(kSerialDrainChain,
+                    RunWorkload(threads, ScaleTopology::kChain));
   }
 }
 
@@ -139,16 +145,13 @@ Packet MakePacket(node_id_t src) {
 // timestamps — two from shard 1 (same tick, two channels, fixing the
 // within-lane order) and one from shard 2 — and returns the order in
 // which shard 0's listeners heard them.
-std::vector<std::pair<node_id_t, node_id_t>> RunTieBreakScenario(
-    bool serial_drain) {
+std::vector<std::pair<node_id_t, node_id_t>> RunTieBreakScenario() {
   ShardedSimulator::Config sim_cfg;
   sim_cfg.shards = 3;
   sim_cfg.threads = 1;
   sim_cfg.lookahead = Microseconds(512);
   ShardedSimulator sim(sim_cfg);
-  MediumFabric::Config fab_cfg;
-  fab_cfg.serial_drain = serial_drain;
-  MediumFabric fabric(&sim, fab_cfg);
+  MediumFabric fabric(&sim);
 
   std::vector<std::pair<node_id_t, node_id_t>> log;
   OrderLoggingRadio listener26(100, 26, &log);
@@ -179,15 +182,14 @@ TEST(FabricDrainTest, LaneMergeBreaksTimeTiesBySourceShardThenLaneOrder) {
   // post order) merge must deliver shard 1's posts first — in lane order —
   // and shard 2's after them. All deliveries land on the same tick of
   // shard 0's engine, where same-tick FIFO makes the Schedule order
-  // observable as the frame-start order.
+  // observable as the frame-start order. This is also the order the
+  // global stable_sort of the serial drain produced.
   std::vector<std::pair<node_id_t, node_id_t>> expected = {
       {100, 10},  // shard 1, first post in its lane (channel 26).
       {101, 11},  // shard 1, second post (channel 17).
       {100, 20},  // shard 2 loses the time tie to shard 1.
   };
-  EXPECT_EQ(RunTieBreakScenario(/*serial_drain=*/false), expected);
-  // And the serial baseline orders identically.
-  EXPECT_EQ(RunTieBreakScenario(/*serial_drain=*/true), expected);
+  EXPECT_EQ(RunTieBreakScenario(), expected);
 }
 
 struct CounterRun {
@@ -201,15 +203,13 @@ struct CounterRun {
 // only on channel 17 while all traffic flows on channel 26, shard 4 has
 // no radios at all, and the senders sit in shards 0..2 so several lanes
 // stay empty too.
-CounterRun RunSparseInterestScenario(bool serial_drain, size_t threads) {
+CounterRun RunSparseInterestScenario(size_t threads) {
   ShardedSimulator::Config sim_cfg;
   sim_cfg.shards = 6;
   sim_cfg.threads = threads;
   sim_cfg.lookahead = Microseconds(512);
   ShardedSimulator sim(sim_cfg);
-  MediumFabric::Config fab_cfg;
-  fab_cfg.serial_drain = serial_drain;
-  MediumFabric fabric(&sim, fab_cfg);
+  MediumFabric fabric(&sim);
 
   // One log per radio: this scenario only checks counters, and the
   // radios live on different shards — a shared log would be written
@@ -244,21 +244,21 @@ CounterRun RunSparseInterestScenario(bool serial_drain, size_t threads) {
 }
 
 TEST(FabricDrainTest, WakeupCountersIdenticalOnBothPaths) {
-  CounterRun serial = RunSparseInterestScenario(/*serial_drain=*/true, 1);
   // 9 posts; each fans out to 5 possible destinations. Channel 26 has
   // clients in shards 1 and 3, so a post from shard 1 schedules 1 wakeup
-  // (shard 3) and one from shards 0/2 schedules 2 (shards 1 and 3).
-  EXPECT_EQ(serial.cross_posts, 9u);
-  EXPECT_EQ(serial.scheduled, 3u * 1 + 6u * 2);
-  EXPECT_EQ(serial.skipped, 9u * 5 - serial.scheduled);
+  // (shard 3) and one from shards 0/2 schedules 2 (shards 1 and 3). The
+  // serial drain, which visited every (post, destination) pair one by
+  // one, counted exactly these totals.
+  constexpr uint64_t kCrossPosts = 9;
+  constexpr uint64_t kScheduled = 3 * 1 + 6 * 2;
+  constexpr uint64_t kSkipped = 9 * 5 - kScheduled;
 
   for (size_t threads : {size_t{1}, size_t{2}}) {
     SCOPED_TRACE(std::to_string(threads) + " threads");
-    CounterRun parallel =
-        RunSparseInterestScenario(/*serial_drain=*/false, threads);
-    EXPECT_EQ(parallel.cross_posts, serial.cross_posts);
-    EXPECT_EQ(parallel.scheduled, serial.scheduled);
-    EXPECT_EQ(parallel.skipped, serial.skipped);
+    CounterRun parallel = RunSparseInterestScenario(threads);
+    EXPECT_EQ(parallel.cross_posts, kCrossPosts);
+    EXPECT_EQ(parallel.scheduled, kScheduled);
+    EXPECT_EQ(parallel.skipped, kSkipped);
   }
 }
 
@@ -268,47 +268,39 @@ TEST(FabricDrainTest, IdleChannelLanesAreSkippedWholesale) {
   // with one mask compare: 3 source lanes × 3 windows = 9. Shard 4 (no
   // radios, empty interest mask) dismisses the same 9; shards 0 and 2
   // (senders, no radios) each dismiss the other two senders' lanes, 6
-  // apiece. 30 total. The serial path never lane-skips by construction.
-  CounterRun parallel = RunSparseInterestScenario(/*serial_drain=*/false, 1);
+  // apiece. 30 total.
+  CounterRun parallel = RunSparseInterestScenario(1);
   EXPECT_EQ(parallel.lanes_skipped, 30u);
-  CounterRun serial = RunSparseInterestScenario(/*serial_drain=*/true, 1);
-  EXPECT_EQ(serial.lanes_skipped, 0u);
   // The wholesale skip must account its posts exactly like the per-post
-  // path does — totals already compared above, but pin it here too.
-  EXPECT_EQ(parallel.skipped, serial.skipped);
+  // path does: every unscheduled (post, destination) pair is a skip.
+  EXPECT_EQ(parallel.skipped, 9u * 5 - parallel.scheduled);
 }
 
 TEST(FabricDrainTest, DrainProfilingRecordsOneSamplePerWindow) {
-  for (bool serial_drain : {false, true}) {
-    SCOPED_TRACE(serial_drain ? "serial drain" : "parallel drain");
-    ShardedSimulator::Config sim_cfg;
-    sim_cfg.shards = 4;
-    sim_cfg.threads = 2;
-    sim_cfg.lookahead = Microseconds(512);
-    ShardedSimulator sim(sim_cfg);
-    sim.EnableBarrierProfiling(true);
-    MediumFabric::Config fab_cfg;
-    fab_cfg.serial_drain = serial_drain;
-    MediumFabric fabric(&sim, fab_cfg);
-    fabric.EnableDrainProfiling(true);
+  ShardedSimulator::Config sim_cfg;
+  sim_cfg.shards = 4;
+  sim_cfg.threads = 2;
+  sim_cfg.lookahead = Microseconds(512);
+  ShardedSimulator sim(sim_cfg);
+  sim.EnableBarrierProfiling(true);
+  MediumFabric fabric(&sim);
+  fabric.EnableDrainProfiling(true);
 
-    ScaleNetworkConfig cfg;
-    cfg.motes = 16;
-    cfg.batch_log_charging = true;
-    ScaleNetwork net(&sim, &fabric, cfg);
-    net.PowerUp();
-    net.StartApps();
-    sim.RunFor(Milliseconds(100));
+  ScaleNetworkConfig cfg;
+  cfg.motes = 16;
+  cfg.batch_log_charging = true;
+  ScaleNetwork net(&sim, &fabric, cfg);
+  net.PowerUp();
+  net.StartApps();
+  sim.RunFor(Milliseconds(100));
 
-    ASSERT_GT(sim.windows_run(), 0u);
-    // One fabric-side drain sample per window on either path; the
-    // sim-side phase series always matches the hook series in length,
-    // with the drain phase only populated when drain tasks exist.
-    EXPECT_EQ(fabric.drain_us_samples().size(), sim.windows_run());
-    EXPECT_EQ(sim.drain_phase_us_samples().size(), sim.windows_run());
-    EXPECT_EQ(sim.barrier_us_samples().size(), sim.windows_run());
-    EXPECT_EQ(sim.window_us_samples().size(), sim.windows_run());
-  }
+  ASSERT_GT(sim.windows_run(), 0u);
+  // One fabric-side drain sample per window; the sim-side phase series
+  // always matches the hook series in length.
+  EXPECT_EQ(fabric.drain_us_samples().size(), sim.windows_run());
+  EXPECT_EQ(sim.drain_phase_us_samples().size(), sim.windows_run());
+  EXPECT_EQ(sim.barrier_us_samples().size(), sim.windows_run());
+  EXPECT_EQ(sim.window_us_samples().size(), sim.windows_run());
 }
 
 }  // namespace

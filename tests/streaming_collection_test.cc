@@ -1,5 +1,6 @@
-// Streaming trace collection: the TraceSink pipeline from bounded-archive
-// loggers through the incremental merge to the spill file.
+// Streaming trace collection: the pipeline from bounded-archive loggers
+// through the per-shard pre-merge builders, the emission pipeline's
+// incremental merge and on to the spill file.
 //
 // The contract under test is equivalence: a streamed run must (a) execute
 // the exact event sequence of a batch run (sealing is host-side
@@ -14,6 +15,7 @@
 #include <string>
 #include <vector>
 
+#include "src/analysis/emission_pipeline.h"
 #include "src/analysis/streaming.h"
 #include "src/analysis/trace_io.h"
 #include "src/analysis/trace_merge.h"
@@ -58,13 +60,25 @@ TraceChunk MakeChunk(node_id_t node, uint64_t seq,
 
 // --- Merger unit tests -------------------------------------------------------
 
+// Seals everything a one-shard builder has received below `barrier` into
+// one run and hands it to `merger` as stream `stream`.
+void FeedRun(ShardRunBuilder* builder, StreamingTraceMerger* merger,
+             uint32_t stream, Tick barrier) {
+  builder->BuildRun(barrier);
+  if (builder->HasRun()) {
+    merger->OnRun(stream, builder->TakeRun());
+  }
+}
+
 TEST(StreamingMergeTest, EmitsInMergeOrderAcrossWatermarks) {
   std::vector<MergedEntry> emitted;
   StreamingTraceMerger merger(
       [&emitted](const MergedEntry& m) { emitted.push_back(m); });
+  ShardRunBuilder builder(0);
 
-  merger.OnChunk(MakeChunk(1, 0, {MakeEntry(10), MakeEntry(30)}));
-  merger.OnChunk(MakeChunk(2, 0, {MakeEntry(20)}));
+  builder.OnChunk(MakeChunk(1, 0, {MakeEntry(10), MakeEntry(30)}));
+  builder.OnChunk(MakeChunk(2, 0, {MakeEntry(20)}));
+  FeedRun(&builder, &merger, 0, ~Tick{0});
 
   // Nothing emits below a watermark that nothing clears.
   merger.AdvanceWatermark(10);
@@ -82,24 +96,28 @@ TEST(StreamingMergeTest, EmitsInMergeOrderAcrossWatermarks) {
   ASSERT_EQ(emitted.size(), 3u);
   EXPECT_EQ(emitted[2].time64, 30u);
   EXPECT_EQ(merger.buffered(), 0u);
-  EXPECT_EQ(merger.seq_gaps(), 0u);
+  EXPECT_EQ(builder.seq_gaps(), 0u);
 }
 
 TEST(StreamingMergeTest, IdleStreamNeverBlocksTheWatermark) {
-  // The idle-shard case: node 7 exists (its logger was constructed, maybe
-  // even sealed an early chunk) but contributes nothing afterwards. Its
-  // silence must not hold back other streams' emission — only buffered
-  // entries gate the merge, never the set of known streams.
+  // The idle-shard case: shard 7's stream exists (it delivered an early
+  // run) but contributes nothing afterwards. Its silence must not hold
+  // back other streams' emission — only buffered entries gate the merge,
+  // never the set of known streams.
   std::vector<MergedEntry> emitted;
   StreamingTraceMerger merger(
       [&emitted](const MergedEntry& m) { emitted.push_back(m); });
+  ShardRunBuilder idle(7);
+  ShardRunBuilder busy(1);
 
-  merger.OnChunk(MakeChunk(7, 0, {MakeEntry(1)}));
+  idle.OnChunk(MakeChunk(7, 0, {MakeEntry(1)}));
+  FeedRun(&idle, &merger, 7, 5);
   merger.AdvanceWatermark(5);
-  ASSERT_EQ(emitted.size(), 1u);  // Node 7's entry emitted, stream now idle.
+  ASSERT_EQ(emitted.size(), 1u);  // Shard 7's entry emitted, stream now idle.
 
-  merger.OnChunk(MakeChunk(1, 0, {MakeEntry(100), MakeEntry(200)}));
-  merger.OnChunk(MakeChunk(2, 0, {MakeEntry(150)}));
+  busy.OnChunk(MakeChunk(1, 0, {MakeEntry(100), MakeEntry(200)}));
+  busy.OnChunk(MakeChunk(2, 0, {MakeEntry(150)}));
+  FeedRun(&busy, &merger, 1, 201);
   merger.AdvanceWatermark(201);
   ASSERT_EQ(emitted.size(), 4u);
   EXPECT_EQ(emitted[1].time64, 100u);
@@ -108,10 +126,11 @@ TEST(StreamingMergeTest, IdleStreamNeverBlocksTheWatermark) {
 }
 
 TEST(StreamingMergeTest, MatchesBatchMergeIncludingWrapUnwrap) {
-  // Three streams with same-tick ties across nodes and a 32-bit timestamp
-  // wrap inside one stream; chunks cut at awkward places. The streamed
-  // emission must equal MergeTraces on the concatenated logs, entry for
-  // entry and hash for hash.
+  // Three nodes with same-tick ties across nodes and a 32-bit timestamp
+  // wrap inside one log; chunks cut at awkward places and runs cut at a
+  // barrier that holds an entry back. The streamed emission must equal
+  // MergeTraces on the concatenated logs, entry for entry and hash for
+  // hash.
   std::vector<NodeTrace> traces(3);
   traces[0] = {5, {MakeEntry(100, 1), MakeEntry(0xFFFFFFF0u, 2),
                    MakeEntry(5, 3), MakeEntry(6, 4)}};  // Wraps at entry 3.
@@ -123,13 +142,21 @@ TEST(StreamingMergeTest, MatchesBatchMergeIncludingWrapUnwrap) {
   std::vector<MergedEntry> streamed;
   StreamingTraceMerger merger(
       [&streamed](const MergedEntry& m) { streamed.push_back(m); });
-  // Node 5 arrives in three chunks, splitting around the wrap.
-  merger.OnChunk(MakeChunk(5, 0, {traces[0].entries[0]}));
-  merger.OnChunk(
+  ShardRunBuilder builder(0);
+  // First window: the three-way tie at 100; node 3's entry at 200 lies
+  // past the barrier and is held back into the next run.
+  builder.OnChunk(MakeChunk(5, 0, {traces[0].entries[0]}));
+  builder.OnChunk(MakeChunk(3, 0, traces[1].entries));
+  builder.OnChunk(MakeChunk(9, 0, traces[2].entries));
+  FeedRun(&builder, &merger, 0, 150);
+  merger.AdvanceWatermark(150);
+  EXPECT_EQ(builder.entries_carried(), 1u);
+  // Second window: node 5 arrives in two more chunks, split around the
+  // wrap.
+  builder.OnChunk(
       MakeChunk(5, 1, {traces[0].entries[1], traces[0].entries[2]}));
-  merger.OnChunk(MakeChunk(5, 2, {traces[0].entries[3]}));
-  merger.OnChunk(MakeChunk(3, 0, traces[1].entries));
-  merger.OnChunk(MakeChunk(9, 0, traces[2].entries));
+  builder.OnChunk(MakeChunk(5, 2, {traces[0].entries[3]}));
+  FeedRun(&builder, &merger, 0, ~Tick{0});
   merger.Finish();
 
   ASSERT_EQ(streamed.size(), batch.size());
@@ -140,14 +167,14 @@ TEST(StreamingMergeTest, MatchesBatchMergeIncludingWrapUnwrap) {
         << "entry " << i;
   }
   EXPECT_EQ(merger.hash(), MergedTraceHash(batch));
-  EXPECT_EQ(merger.seq_gaps(), 0u);
+  EXPECT_EQ(builder.seq_gaps(), 0u);
 }
 
 TEST(StreamingMergeTest, CountsChunkSequenceGaps) {
-  StreamingTraceMerger merger;
-  merger.OnChunk(MakeChunk(1, 0, {MakeEntry(1)}));
-  merger.OnChunk(MakeChunk(1, 2, {MakeEntry(2)}));  // Seq 1 went missing.
-  EXPECT_EQ(merger.seq_gaps(), 1u);
+  ShardRunBuilder builder(0);
+  builder.OnChunk(MakeChunk(1, 0, {MakeEntry(1)}));
+  builder.OnChunk(MakeChunk(1, 2, {MakeEntry(2)}));  // Seq 1 went missing.
+  EXPECT_EQ(builder.seq_gaps(), 1u);
 }
 
 // --- Logger bounded-archive mode ---------------------------------------------
@@ -255,18 +282,15 @@ ShardedStreamRun RunStreamedRelay(size_t threads, size_t motes,
   if (pipeline != nullptr) {
     merger.SetEmit([pipeline](const MergedEntry& m) { pipeline->Add(m.entry); });
   }
+  EmissionPipeline emission(&merger);
   ScaleNetworkConfig cfg;
   cfg.motes = motes;
   cfg.log_capacity = log_capacity;
   cfg.batch_log_charging = true;
   cfg.topology = topology;
   cfg.sinks = sinks;
-  cfg.trace_sink = &merger;
+  cfg.emission_pipeline = &emission;
   ScaleNetwork net(&sim, &fabric, cfg);
-  // After ScaleNetwork's per-window seal hook, so each watermark advance
-  // sees the window's chunks already merged in.
-  sim.AddBarrierHook(
-      [&merger](Tick window_end) { merger.AdvanceWatermark(window_end); });
 
   net.PowerUp();
   sim.RunFor(Milliseconds(5));
@@ -281,7 +305,7 @@ ShardedStreamRun RunStreamedRelay(size_t threads, size_t motes,
   run.emitted = merger.emitted();
   run.dropped = net.entries_dropped();
   run.peak_buffered = merger.peak_buffered();
-  run.seq_gaps = merger.seq_gaps();
+  run.seq_gaps = net.premerge_seq_gaps();
   if (pipeline != nullptr) {
     run.fit = pipeline->Solve();
   }
@@ -361,12 +385,13 @@ TEST(StreamingCollectionTest, StreamedRunMatchesBatchRunExactly) {
 }
 
 TEST(StreamingCollectionTest, ChunkSealOrderingAtWindowBarriers) {
-  // Chunks must arrive sealed at window barriers in a well-formed order:
-  // per-node seqs are consecutive from 0, entry timestamps within a node
-  // never decrease across chunk boundaries (monotone logs), no chunk is
-  // empty, and every entry in a chunk was logged at or before the barrier
-  // that sealed it. (The run is 0.5 simulated seconds, far from a 32-bit
-  // wrap, so raw timestamps compare directly.)
+  // Chunks must be sealed at window barriers in a well-formed order:
+  // per-node seqs consecutive from 0 (the builders count every gap), no
+  // chunk empty and no seal call wasted on an idle mote; and each barrier
+  // T must emit exactly the window's entries — every entry logged in
+  // [previous barrier, T), in merge order, per-node logs monotone. (The
+  // run is 0.5 simulated seconds, far from a 32-bit wrap, so raw
+  // timestamps compare directly.)
   ShardedSimulator::Config sim_cfg;
   sim_cfg.shards = 4;
   sim_cfg.threads = 2;
@@ -374,56 +399,63 @@ TEST(StreamingCollectionTest, ChunkSealOrderingAtWindowBarriers) {
   ShardedSimulator sim(sim_cfg);
   MediumFabric fabric(&sim);
 
-  struct BarrierRecordingSink : public TraceSink {
-    void OnChunk(TraceChunk&& chunk) override {
-      barrier_of_chunk.push_back(current_barrier);
-      chunks.push_back(std::move(chunk));
-    }
-    std::vector<TraceChunk> chunks;
-    std::vector<Tick> barrier_of_chunk;
-    Tick current_barrier = 0;
-  };
-  BarrierRecordingSink sink;
-
-  // Stamp the barrier time *before* ScaleNetwork registers its seal hook
-  // (hooks run in registration order), so the sink sees the barrier its
-  // chunks were sealed at.
-  sim.AddBarrierHook(
-      [&sink](Tick window_end) { sink.current_barrier = window_end; });
-
+  // Written by the consumer thread; read on the coordinator only after a
+  // Drain, which orders the two.
+  std::vector<MergedEntry> emitted;
+  StreamingTraceMerger merger(
+      [&emitted](const MergedEntry& m) { emitted.push_back(m); });
+  EmissionPipeline emission(&merger);
   ScaleNetworkConfig cfg;
   cfg.motes = 16;
   cfg.log_capacity = 512;
   cfg.batch_log_charging = true;
-  cfg.trace_sink = &sink;
+  cfg.emission_pipeline = &emission;
   ScaleNetwork net(&sim, &fabric, cfg);
+
+  // Registered after ScaleNetwork's hand-off hook (hooks run in
+  // registration order): draining here makes the window's emission
+  // complete before it is stamped with its barrier.
+  std::vector<Tick> barrier_of_entry;
+  sim.AddBarrierHook([&](Tick window_end) {
+    emission.Drain();
+    barrier_of_entry.resize(emitted.size(), window_end);
+  });
 
   net.PowerUp();
   sim.RunFor(Milliseconds(5));
   net.StartApps();
   sim.RunFor(Seconds(0.5));
   Tick final_now = sim.Now();
-  sink.current_barrier = final_now;
   net.SealAllChunks();
+  merger.Finish();
+  barrier_of_entry.resize(emitted.size(), final_now + 1);
 
-  ASSERT_GT(sink.chunks.size(), 10u);
-  std::map<node_id_t, uint64_t> next_seq;
+  EXPECT_GT(net.chunks_sealed(), 10u);
+  EXPECT_EQ(net.premerge_seq_gaps(), 0u);
+  EXPECT_EQ(net.premerge_seal_calls(), net.chunks_sealed());
+  EXPECT_EQ(net.empty_seals_skipped(), 0u);
+  EXPECT_EQ(net.entries_dropped(), 0u);
+
+  ASSERT_FALSE(emitted.empty());
   std::map<node_id_t, uint32_t> last_time;
-  for (size_t i = 0; i < sink.chunks.size(); ++i) {
-    const TraceChunk& chunk = sink.chunks[i];
-    EXPECT_FALSE(chunk.entries.empty()) << "empty chunk " << i;
-    // Consecutive seq per node.
-    EXPECT_EQ(chunk.seq, next_seq[chunk.node]) << "chunk " << i;
-    next_seq[chunk.node] = chunk.seq + 1;
-    for (const LogEntry& e : chunk.entries) {
-      auto it = last_time.find(chunk.node);
-      if (it != last_time.end()) {
-        EXPECT_GE(e.time, it->second) << "node " << chunk.node;
-      }
-      last_time[chunk.node] = e.time;
-      // Sealed entries were logged no later than their barrier.
-      EXPECT_LE(e.time, sink.barrier_of_chunk[i]) << "chunk " << i;
+  Tick previous_barrier = 0;
+  for (size_t i = 0; i < emitted.size(); ++i) {
+    const MergedEntry& m = emitted[i];
+    Tick barrier = barrier_of_entry[i];
+    if (i > 0 && barrier != barrier_of_entry[i - 1]) {
+      previous_barrier = barrier_of_entry[i - 1];
     }
+    // Emitted at the first barrier past it, not earlier, not later.
+    EXPECT_LT(m.time64, barrier) << "entry " << i;
+    EXPECT_GE(m.time64, previous_barrier) << "entry " << i;
+    if (i > 0) {
+      EXPECT_GE(m.time64, emitted[i - 1].time64) << "entry " << i;
+    }
+    auto it = last_time.find(m.node);
+    if (it != last_time.end()) {
+      EXPECT_GE(m.entry.time, it->second) << "node " << m.node;
+    }
+    last_time[m.node] = m.entry.time;
   }
 }
 
@@ -447,14 +479,13 @@ TEST(StreamingCollectionTest, SpillFileRoundTripEqualsInRamMerge) {
     ASSERT_TRUE(spill.ok());
     StreamingTraceMerger merger(
         [&spill](const MergedEntry& m) { spill.Append(m.entry); });
+    EmissionPipeline emission(&merger);
     ScaleNetworkConfig cfg;
     cfg.motes = 48;
     cfg.log_capacity = 512;
     cfg.batch_log_charging = true;
-    cfg.trace_sink = &merger;
+    cfg.emission_pipeline = &emission;
     ScaleNetwork net(&sim, &fabric, cfg);
-    sim.AddBarrierHook(
-        [&merger](Tick window_end) { merger.AdvanceWatermark(window_end); });
     net.PowerUp();
     sim.RunFor(Milliseconds(5));
     net.StartApps();
@@ -484,24 +515,22 @@ TEST(StreamingScaleSmokeTest, Grid4096BoundedMemoryDeterministicAt1_2_4Threads) 
   // The bounded-memory determinism smoke past every previous scale test:
   // 4096 motes, grid/multi-sink, streamed collection with small rings.
   // The online merge fingerprint — covering every merged log field — must
-  // be thread-count-invariant, with zero drops and zero chunk gaps.
-  ShardedStreamRun one =
-      RunStreamedRelay(1, 4096, 0.5, 1024, ScaleTopology::kGrid, 4);
-  EXPECT_GT(one.emitted, 10000u);
-  EXPECT_EQ(one.dropped, 0u);
-  EXPECT_EQ(one.seq_gaps, 0u);
-  // Bounded resident state at scale: the merger drained every window.
-  EXPECT_LT(one.peak_buffered, one.emitted / 4);
-
-  ShardedStreamRun two =
-      RunStreamedRelay(2, 4096, 0.5, 1024, ScaleTopology::kGrid, 4);
-  ShardedStreamRun four =
-      RunStreamedRelay(4, 4096, 0.5, 1024, ScaleTopology::kGrid, 4);
-  for (const ShardedStreamRun* other : {&two, &four}) {
-    EXPECT_EQ(one.executed, other->executed);
-    EXPECT_EQ(one.emitted, other->emitted);
-    EXPECT_EQ(one.merge_hash, other->merge_hash);
-    EXPECT_EQ(other->dropped, 0u);
+  // be thread-count-invariant, with zero drops and zero chunk gaps, and
+  // equal to what the deleted coordinator sweep (every mote sealed by the
+  // coordinator each window, 1 thread) emitted.
+  constexpr uint64_t kSweepExecuted = 203457;
+  constexpr uint64_t kSweepEmitted = 372435;
+  constexpr uint64_t kSweepHash = 0x17dcfd91a59a683dull;
+  for (size_t threads : {size_t{1}, size_t{2}, size_t{4}}) {
+    ShardedStreamRun run =
+        RunStreamedRelay(threads, 4096, 0.5, 1024, ScaleTopology::kGrid, 4);
+    EXPECT_EQ(run.executed, kSweepExecuted) << threads;
+    EXPECT_EQ(run.emitted, kSweepEmitted) << threads;
+    EXPECT_EQ(run.merge_hash, kSweepHash) << threads;
+    EXPECT_EQ(run.dropped, 0u) << threads;
+    EXPECT_EQ(run.seq_gaps, 0u) << threads;
+    // Bounded resident state at scale: the merger drained every window.
+    EXPECT_LT(run.peak_buffered, run.emitted / 4) << threads;
   }
 }
 

@@ -13,6 +13,7 @@
 #include <string>
 #include <vector>
 
+#include "src/analysis/emission_pipeline.h"
 #include "src/analysis/trace_index.h"
 #include "src/analysis/trace_io.h"
 #include "src/analysis/trace_merge.h"
@@ -614,6 +615,7 @@ std::vector<LogEntry> RunIndexedNetworkSpill(const std::string& path,
     spill.Append(m.entry);
     reference.push_back(m.entry);
   });
+  EmissionPipeline emission(&merger);
   ScaleNetworkConfig cfg;
   cfg.motes = motes;
   cfg.log_capacity = 512;
@@ -621,10 +623,8 @@ std::vector<LogEntry> RunIndexedNetworkSpill(const std::string& path,
   cfg.topology = topology;
   cfg.sinks = sinks;
   cfg.segment_entries = segment_entries;
-  cfg.trace_sink = &merger;
+  cfg.emission_pipeline = &emission;
   ScaleNetwork net(&sim, &fabric, cfg);
-  sim.AddBarrierHook(
-      [&merger](Tick window_end) { merger.AdvanceWatermark(window_end); });
   net.PowerUp();
   sim.RunFor(Milliseconds(5));
   net.StartApps();

@@ -12,7 +12,8 @@
 // Also here: the v3 round-trips and version-selection rules, the
 // broadcast-address mapping (0xFFFFFFFF in memory, 0xFFFF in v2, never in
 // v1), the wide-node radio dump format, packet wire-byte tiers, and the
-// dirty-list charge flush vs full-sweep equality proof.
+// dirty-list charge flush vs full-sweep equality proof (the full sweep is
+// gone; what it produced is pinned).
 
 #include <gtest/gtest.h>
 
@@ -21,6 +22,7 @@
 #include <vector>
 
 #include "src/analysis/accounting.h"
+#include "src/analysis/emission_pipeline.h"
 #include "src/analysis/streaming.h"
 #include "src/analysis/trace.h"
 #include "src/analysis/trace_io.h"
@@ -238,11 +240,12 @@ TEST(GoldenRegressionTest, Chain64WorkloadAndReportUnchanged) {
             kGoldenChain64DumpTextFnv);
 }
 
-// The sharded grid workload whose merge hash is pinned across PRs — now
-// run on both charge-flush paths. The dirty-list flush must reproduce the
-// full sweep's simulation event for event.
+// The sharded grid workload whose merge hash is pinned across PRs, run
+// on both charge-flush paths: batch-collected (serial dirty-list hook)
+// and streamed (flush fused into the shard workers' seal pass). The
+// deleted full per-window sweep produced these same constants.
 TEST(GoldenRegressionTest, Grid256ShardedHashUnchangedOnBothFlushPaths) {
-  for (bool legacy_sweep : {false, true}) {
+  for (bool streamed : {false, true}) {
     for (size_t threads : {size_t{1}, size_t{2}}) {
       ShardedSimulator::Config sim_cfg;
       sim_cfg.shards = 8;
@@ -250,23 +253,39 @@ TEST(GoldenRegressionTest, Grid256ShardedHashUnchangedOnBothFlushPaths) {
       sim_cfg.lookahead = Microseconds(512);
       ShardedSimulator sim(sim_cfg);
       MediumFabric fabric(&sim);
+      StreamingTraceMerger merger;
+      EmissionPipeline emission(&merger);
       ScaleNetworkConfig cfg;
       cfg.motes = 256;
       cfg.topology = ScaleTopology::kGrid;
       cfg.sinks = 4;
       cfg.batch_log_charging = true;
-      cfg.legacy_full_charge_sweep = legacy_sweep;
+      if (streamed) {
+        cfg.emission_pipeline = &emission;
+      }
       ScaleNetwork net(&sim, &fabric, cfg);
+      EXPECT_EQ(net.fused_charge_flush(), streamed);
       net.PowerUp();
       sim.RunFor(Milliseconds(5));
       net.StartApps();
       sim.RunFor(Seconds(1.0));
-      auto merged = MergeTraces(CollectNodeTraces(net));
+      size_t merged_size = 0;
+      uint64_t hash = 0;
+      if (streamed) {
+        net.SealAllChunks();
+        merger.Finish();
+        merged_size = merger.emitted();
+        hash = merger.hash();
+      } else {
+        auto merged = MergeTraces(CollectNodeTraces(net));
+        merged_size = merged.size();
+        hash = MergedTraceHash(merged);
+      }
       EXPECT_EQ(sim.executed_count(), kGoldenGrid256Executed)
-          << "threads " << threads << " legacy_sweep " << legacy_sweep;
-      EXPECT_EQ(merged.size(), kGoldenGrid256Merged);
-      EXPECT_EQ(MergedTraceHash(merged), kGoldenGrid256Hash)
-          << "threads " << threads << " legacy_sweep " << legacy_sweep;
+          << "threads " << threads << " streamed " << streamed;
+      EXPECT_EQ(merged_size, kGoldenGrid256Merged);
+      EXPECT_EQ(hash, kGoldenGrid256Hash)
+          << "threads " << threads << " streamed " << streamed;
     }
   }
 }
@@ -444,6 +463,14 @@ TEST(WideNodeTest, WideNodeRecordsShipAndReassemble) {
 
 // --- Dirty-list charge flush vs full sweep ---------------------------------
 
+// What the deleted full per-window sweep of every mote produced on the
+// 128-mote grid workload below (batch-collected, 1 thread).
+constexpr uint64_t kSweepGrid128Executed = 13655;
+constexpr uint64_t kSweepGrid128Hash = 0x0514f8a8d5a22297ull;
+constexpr uint64_t kSweepGrid128Windows = 257;
+constexpr uint64_t kSweepGrid128Visits = 32896;  // Every mote, every window.
+static_assert(kSweepGrid128Visits == kSweepGrid128Windows * 128);
+
 struct FlushRunResult {
   uint64_t hash = 0;
   uint64_t visits = 0;
@@ -451,20 +478,27 @@ struct FlushRunResult {
   uint64_t executed = 0;
 };
 
-FlushRunResult RunFlushWorkload(size_t threads, bool legacy_sweep) {
+ShardedSimulator::Config FlushSimConfig(size_t threads) {
   ShardedSimulator::Config sim_cfg;
   sim_cfg.shards = 8;
   sim_cfg.threads = threads;
   sim_cfg.lookahead = Microseconds(512);
-  ShardedSimulator sim(sim_cfg);
-  MediumFabric fabric(&sim);
+  return sim_cfg;
+}
+
+ScaleNetworkConfig FlushNetConfig() {
   ScaleNetworkConfig cfg;
   cfg.motes = 128;
   cfg.topology = ScaleTopology::kGrid;
   cfg.sinks = 4;
   cfg.batch_log_charging = true;
-  cfg.legacy_full_charge_sweep = legacy_sweep;
-  ScaleNetwork net(&sim, &fabric, cfg);
+  return cfg;
+}
+
+FlushRunResult RunFlushWorkload(size_t threads) {
+  ShardedSimulator sim(FlushSimConfig(threads));
+  MediumFabric fabric(&sim);
+  ScaleNetwork net(&sim, &fabric, FlushNetConfig());
   net.PowerUp();
   sim.RunFor(Milliseconds(5));
   net.StartApps();
@@ -478,58 +512,41 @@ FlushRunResult RunFlushWorkload(size_t threads, bool legacy_sweep) {
 }
 
 TEST(DirtyChargeFlushTest, HashEqualsFullSweepAcrossThreadCounts) {
-  FlushRunResult sweep = RunFlushWorkload(1, /*legacy_sweep=*/true);
-  // The historical sweep visits every mote every window, exactly.
-  EXPECT_EQ(sweep.visits, sweep.windows * 128);
   for (size_t threads : {size_t{1}, size_t{2}, size_t{4}}) {
-    FlushRunResult dirty = RunFlushWorkload(threads, /*legacy_sweep=*/false);
+    FlushRunResult dirty = RunFlushWorkload(threads);
     // Same simulation, event for event: the dirty-list flush only skips
-    // motes with nothing to charge, which the sweep would have visited
-    // as no-ops.
-    EXPECT_EQ(dirty.executed, sweep.executed) << "threads " << threads;
-    EXPECT_EQ(dirty.hash, sweep.hash) << "threads " << threads;
+    // motes with nothing to charge, which the sweep visited as no-ops.
+    EXPECT_EQ(dirty.executed, kSweepGrid128Executed) << "threads " << threads;
+    EXPECT_EQ(dirty.hash, kSweepGrid128Hash) << "threads " << threads;
     // The point of the dirty list: visits ≪ windows × motes. The bound
     // here is loose (4×) so topology tweaks don't flake it; in practice
     // the ratio is far larger.
-    EXPECT_EQ(dirty.windows, sweep.windows) << "threads " << threads;
-    EXPECT_LT(dirty.visits, dirty.windows * 128 / 4) << "threads " << threads;
+    EXPECT_EQ(dirty.windows, kSweepGrid128Windows) << "threads " << threads;
+    EXPECT_LT(dirty.visits, kSweepGrid128Visits / 4) << "threads " << threads;
     EXPECT_GT(dirty.visits, 0u) << "threads " << threads;
   }
 }
 
 TEST(DirtyChargeFlushTest, StreamedCollectionMatchesBatchOnBothPaths) {
-  // The streamed pre-merged pipeline's online hash must also be flush-
-  // path-invariant (the flush runs inside the same barrier either way).
-  auto run_streamed = [](bool legacy_sweep) {
-    ShardedSimulator::Config sim_cfg;
-    sim_cfg.shards = 8;
-    sim_cfg.threads = 2;
-    sim_cfg.lookahead = Microseconds(512);
-    ShardedSimulator sim(sim_cfg);
-    MediumFabric fabric(&sim);
-    StreamingTraceMerger merger;
-    ScaleNetworkConfig cfg;
-    cfg.motes = 128;
-    cfg.topology = ScaleTopology::kGrid;
-    cfg.sinks = 4;
-    cfg.batch_log_charging = true;
-    cfg.legacy_full_charge_sweep = legacy_sweep;
-    cfg.premerged_sink = &merger;
-    cfg.log_capacity = 1024;
-    ScaleNetwork net(&sim, &fabric, cfg);
-    net.PowerUp();
-    sim.RunFor(Milliseconds(5));
-    net.StartApps();
-    sim.RunFor(Seconds(1.0));
-    net.SealAllChunks();
-    merger.Finish();
-    return merger.hash();
-  };
-  uint64_t dirty_hash = run_streamed(false);
-  uint64_t sweep_hash = run_streamed(true);
-  EXPECT_EQ(dirty_hash, sweep_hash);
-  // And both equal the batch-collected hash of the same workload.
-  EXPECT_EQ(dirty_hash, RunFlushWorkload(2, false).hash);
+  // The streamed run's online hash (flush fused into the seal pass) must
+  // equal the batch-collected hash (serial dirty-list hook) and the
+  // deleted full sweep's, which was the same on streamed and batch runs.
+  ShardedSimulator sim(FlushSimConfig(2));
+  MediumFabric fabric(&sim);
+  StreamingTraceMerger merger;
+  EmissionPipeline emission(&merger);
+  ScaleNetworkConfig cfg = FlushNetConfig();
+  cfg.emission_pipeline = &emission;
+  cfg.log_capacity = 1024;
+  ScaleNetwork net(&sim, &fabric, cfg);
+  net.PowerUp();
+  sim.RunFor(Milliseconds(5));
+  net.StartApps();
+  sim.RunFor(Seconds(1.0));
+  net.SealAllChunks();
+  merger.Finish();
+  EXPECT_EQ(merger.hash(), kSweepGrid128Hash);
+  EXPECT_EQ(merger.hash(), RunFlushWorkload(2).hash);
 }
 
 }  // namespace

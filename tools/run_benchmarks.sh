@@ -179,62 +179,6 @@ if [ -n "$HUGE_ROWS" ] && [ -x "$BUILD_DIR/bench_scale_multihop" ]; then
   done
 fi
 
-# Fabric drain A/B phase: a serial-drain baseline at the parallel-barrier
-# phase's default size, in its own process. The in-process big phase
-# already records the parallel-drain rows (1/2/4 threads, drain_us
-# profiled); this row supplies the retained serial path's percentiles and
-# hash so fabric_summary can show the drain leaving the coordinator's
-# serial section against a same-binary baseline. Override rows with
-# SCALE_FABRIC_ROWS="motes:threads ..."; empty disables.
-FABRIC_ROWS="${SCALE_FABRIC_ROWS-16384:1}"
-fabric_entries="$SCRATCH/fabric_rows.txt"
-: >"$fabric_entries"
-if [ -n "$FABRIC_ROWS" ] && [ -x "$BUILD_DIR/bench_scale_multihop" ]; then
-  for row in $FABRIC_ROWS; do
-    motes="${row%%:*}"
-    threads="${row##*:}"
-    row_json="$SCRATCH/fabric_${motes}_${threads}.json"
-    echo "== Fabric serial-drain row: $motes motes ($threads threads)"
-    "$BUILD_DIR/bench_scale_multihop" --motes "$motes" --topology grid \
-      --sinks 4 --seconds 2 --threads "$threads" --stream-traces \
-      --serial-drain \
-      --json "$row_json" >"$SCRATCH/fabric_${motes}_${threads}.out" 2>&1 || {
-      echo "   row failed; see $SCRATCH/fabric_${motes}_${threads}.out"
-      continue
-    }
-    printf '%s\t%s\t%s\n' "$motes" "$threads" "$row_json" >>"$fabric_entries"
-  done
-fi
-
-# Charge-flush residue A/B phase: a serial-hook flush baseline at the
-# parallel-barrier phase's default size, in its own process. The
-# in-process big phase records the fused rows (flush on the workers,
-# inside the pre-barrier seal pass); this row keeps the flush on the
-# coordinator's barrier hook, so residue_summary can show the flush
-# leaving the serial section against a same-binary baseline — equal merge
-# hashes and charge_flush_visits across the pair are the differential
-# proof at scale. Override rows with
-# SCALE_RESIDUE_ROWS="motes:threads ..."; empty disables.
-RESIDUE_ROWS="${SCALE_RESIDUE_ROWS-16384:1}"
-residue_entries="$SCRATCH/residue_rows.txt"
-: >"$residue_entries"
-if [ -n "$RESIDUE_ROWS" ] && [ -x "$BUILD_DIR/bench_scale_multihop" ]; then
-  for row in $RESIDUE_ROWS; do
-    motes="${row%%:*}"
-    threads="${row##*:}"
-    row_json="$SCRATCH/residue_${motes}_${threads}.json"
-    echo "== Serial-charge-flush row: $motes motes ($threads threads)"
-    "$BUILD_DIR/bench_scale_multihop" --motes "$motes" --topology grid \
-      --sinks 4 --seconds 2 --threads "$threads" --stream-traces \
-      --serial-charge-flush \
-      --json "$row_json" >"$SCRATCH/residue_${motes}_${threads}.out" 2>&1 || {
-      echo "   row failed; see $SCRATCH/residue_${motes}_${threads}.out"
-      continue
-    }
-    printf '%s\t%s\t%s\n' "$motes" "$threads" "$row_json" >>"$residue_entries"
-  done
-fi
-
 # Read-path phase: generate an indexed spill at the barrier phase's size
 # (16 384-mote grid, streamed collection, footers accumulated by the
 # emission consumer as the file is written), then measure the read side —
@@ -283,7 +227,7 @@ fi
 if [ -f "$SCRATCH/bench_scale_multihop.json" ]; then
   NPROC="$(nproc)" python3 - "$SCRATCH/bench_scale_multihop.json" \
     "$REPO_ROOT/BENCH_scale.json" "$mem_entries" "$huge_entries" \
-    "$fabric_entries" "$residue_entries" "$read_json" <<'EOF'
+    "$read_json" <<'EOF'
 import json
 import os
 import sys
@@ -291,21 +235,16 @@ import sys
 src, dst = sys.argv[1], sys.argv[2]
 mem_entries = sys.argv[3] if len(sys.argv) > 3 else None
 huge_entries = sys.argv[4] if len(sys.argv) > 4 else None
-fabric_entries = sys.argv[5] if len(sys.argv) > 5 else None
-residue_entries = sys.argv[6] if len(sys.argv) > 6 else None
-read_json = sys.argv[7] if len(sys.argv) > 7 else None
+read_json = sys.argv[5] if len(sys.argv) > 5 else None
 nproc = int(os.environ["NPROC"])
 with open(src) as f:
     data = json.load(f)
 data["nproc"] = nproc
 
-# Wide-node, fabric-baseline and residue-baseline separate-process rows
-# join the in-process sweep's runs; each row's JSON holds exactly one run
-# (its --motes invocation).
-for entries_file in (huge_entries, fabric_entries, residue_entries):
-    if not entries_file or not os.path.exists(entries_file):
-        continue
-    for line in open(entries_file):
+# Wide-node separate-process rows join the in-process sweep's runs; each
+# row's JSON holds exactly one run (its --motes invocation).
+if huge_entries and os.path.exists(huge_entries):
+    for line in open(huge_entries):
         motes, threads, row_json = line.rstrip("\n").split("\t")
         try:
             with open(row_json) as f:
@@ -405,12 +344,12 @@ if mem_rows:
         }
 
 # Parallel barrier pipeline summary: the per-window seal/merge/barrier
-# percentiles of the pre-merged streamed rows at the largest default
-# phase (16384 motes), one row per thread count — the machine-readable
-# record of what the window barrier costs and where it is spent.
+# percentiles of the streamed rows at the largest default phase (16384
+# motes), one row per thread count — the machine-readable record of what
+# the window barrier costs and where it is spent.
 barrier_rows = []
 for run in data.get("runs", []):
-    if not run.get("premerge") or "seal_us" not in run:
+    if not run.get("stream") or "seal_us" not in run:
         continue
     barrier_rows.append({
         "motes": run.get("motes"),
@@ -429,19 +368,13 @@ if barrier_rows:
     data["barrier_summary"] = [r for r in barrier_rows
                                if r["motes"] == biggest]
 
-# Off-barrier emission summary: for the async pre-merged rows at the
-# largest phase, the overlap ledger — per-window wall time, the
-# consumer-side merge cost that used to sit inside the barrier, the
-# residual serial barrier, and the backpressure counters. On a 1-core
-# recording host the win shows as merge_us leaving barrier_us (the
-# consumer's share lands in window_wall_us instead); on a multicore host
-# the same rows show it leaving the wall clock — ready for the ROADMAP
-# --threads sweep.
+# Off-barrier emission summary: for the streamed rows at the largest
+# phase, the overlap ledger — per-window wall time, the consumer-side
+# merge cost (off the barrier), the residual serial barrier, and the
+# backpressure counters.
 emission_rows = []
 for run in data.get("runs", []):
-    if not run.get("premerge") or not run.get("async_emission"):
-        continue
-    if "merge_us" not in run:
+    if not run.get("stream") or "merge_us" not in run:
         continue
     emission_rows.append({
         "motes": run.get("motes"),
@@ -460,11 +393,9 @@ if emission_rows:
                                 if r["motes"] == biggest]
 
 # Fabric drain summary: the per-window drain cost of the profiled rows at
-# the barrier phase's size, parallel rows (drain on the workers,
-# drain_us = the slowest destination's lane merge; barrier_us = serial
-# residue, hook bookkeeping only) next to the serial baseline row (drain
-# inside the coordinator's serial section). Equal merge hashes across the
-# block are the differential proof at scale.
+# the largest phase (drain on the workers, drain_us = the slowest
+# destination's lane merge; barrier_us = serial residue, hook bookkeeping
+# only).
 fabric_rows = []
 for run in data.get("runs", []):
     if "drain_us" not in run:
@@ -472,7 +403,6 @@ for run in data.get("runs", []):
     fabric_rows.append({
         "motes": run.get("motes"),
         "threads": run.get("threads"),
-        "serial_drain": run.get("serial_drain"),
         "windows": run.get("barrier_windows"),
         "cross_posts": run.get("cross_posts"),
         "scheduled_wakeups": run.get("scheduled_wakeups"),
@@ -484,31 +414,20 @@ for run in data.get("runs", []):
         "merge_hash": run.get("merge_hash"),
     })
 if fabric_rows:
-    # Keep the biggest-motes rows plus every size that has a serial
-    # baseline row, so the parallel-vs-serial per-path comparison
-    # survives even when the serial row runs at a smaller size than
-    # the huge-motes phase.
     biggest = max(r["motes"] for r in fabric_rows)
-    serial_sizes = {r["motes"] for r in fabric_rows if r["serial_drain"]}
-    keep = serial_sizes | {biggest}
     data["fabric_summary"] = [r for r in fabric_rows
-                              if r["motes"] in keep]
+                              if r["motes"] == biggest]
 
-# Charge-flush residue summary: fused rows (flush_us on the workers,
-# inside the pre-barrier seal) next to the serial-hook baseline row
-# (flush_us on the coordinator, inside barrier_us). Equal merge hashes
-# and charge_flush_visits across the block prove the fused pass visits
-# each dirty mote once per window with byte-identical output; the
-# barrier_us drop between serial and fused rows is the residue actually
-# cleared from the serial section.
+# Charge-flush residue summary: the fused flush (flush_us on the workers,
+# inside the pre-barrier seal) next to the serial barrier section it no
+# longer occupies (barrier_us), at the largest phase.
 residue_rows = []
 for run in data.get("runs", []):
-    if not run.get("premerge") or "flush_us" not in run:
+    if not run.get("stream") or "flush_us" not in run:
         continue
     residue_rows.append({
         "motes": run.get("motes"),
         "threads": run.get("threads"),
-        "serial_charge_flush": run.get("serial_charge_flush"),
         "windows": run.get("barrier_windows"),
         "charge_flush_visits": run.get("charge_flush_visits"),
         "charge_flush_windows": run.get("charge_flush_windows"),
@@ -519,11 +438,8 @@ for run in data.get("runs", []):
     })
 if residue_rows:
     biggest = max(r["motes"] for r in residue_rows)
-    serial_sizes = {r["motes"] for r in residue_rows
-                    if r["serial_charge_flush"]}
-    keep = serial_sizes | {biggest}
     data["residue_summary"] = [r for r in residue_rows
-                               if r["motes"] in keep]
+                               if r["motes"] == biggest]
 
 # Read-path summary: bench_read_path's JSON verbatim — segment count,
 # full-decode wall per reader thread count (hash-checked against the
