@@ -43,7 +43,7 @@
 // and leaves no pooled buffer in flight.
 //
 // When the downstream sink is an index-writing FileTraceSink
-// (Options::write_index), the per-segment footer accumulation
+// (Options::write_index), the footer and rollup accumulation
 // (TraceIndexBuilder inside the sink's Append) rides this consumer
 // thread too: indexing a spill costs the window barrier nothing — the
 // same zero-barrier-cost argument as the merge itself.
@@ -84,8 +84,6 @@ class EmissionPipeline {
 
   EmissionPipeline(const EmissionPipeline&) = delete;
   EmissionPipeline& operator=(const EmissionPipeline&) = delete;
-
-  size_t max_depth() const { return max_depth_; }
 
   // Hands one window to the consumer: the window's runs (ascending shard
   // order — the consumer preserves submission order within and across

@@ -1,5 +1,6 @@
 #include "src/analysis/trace_index.h"
 
+#include <algorithm>
 #include <cstring>
 
 #include "src/analysis/trace_io.h"  // Container geometry for validation.
@@ -62,22 +63,30 @@ bool SegmentFooter::MayContainOrigin(node_id_t origin) const {
 }
 
 std::map<act_t, ActivitySummary> TraceIndex::ActivityTotals() const {
+  // The rollup is sorted, so every row goes in at the end hint: linear.
   std::map<act_t, ActivitySummary> totals;
-  for (const SegmentFooter& seg : segments) {
-    for (const auto& [act, row] : seg.activities) {
-      ActivitySummary& t = totals[act];
-      t.entries += row.entries;
-      t.pulses += row.pulses;
-    }
+  for (const auto& [act, row] : activities) {
+    totals.emplace_hint(totals.end(), act, row);
   }
   return totals;
 }
 
+const ActivitySummary* TraceIndex::FindActivity(act_t label) const {
+  auto it = std::lower_bound(
+      activities.begin(), activities.end(), label,
+      [](const std::pair<act_t, ActivitySummary>& row, act_t value) {
+        return row.first < value;
+      });
+  return it != activities.end() && it->first == label ? &it->second
+                                                      : nullptr;
+}
+
 std::vector<uint8_t> SerializeTraceIndex(const TraceIndex& index) {
-  size_t bytes = kIndexHeaderBytes + kIndexTrailerBytes;
-  for (const SegmentFooter& seg : index.segments) {
-    bytes += kSegmentRecordBytes + seg.activities.size() * kActivityRowBytes;
-  }
+  size_t bytes = kIndexHeaderBytes +
+                 index.segments.size() * kSegmentRecordBytes +
+                 kRollupCountBytes +
+                 index.activities.size() * kActivityRowBytes +
+                 kIndexTrailerBytes;
   std::vector<uint8_t> out;
   out.reserve(bytes);
   for (uint8_t m : kIndexMagic) {
@@ -92,17 +101,18 @@ std::vector<uint8_t> SerializeTraceIndex(const TraceIndex& index) {
     PutU64(out, seg.length);
     PutU32(out, seg.entries);
     PutU16(out, seg.container_version);
-    PutU16(out, static_cast<uint16_t>(seg.activities.size()));
+    PutU16(out, 0);  // Reserved (v1: the segment's activity row count).
     PutU64(out, seg.time_min64);
     PutU64(out, seg.time_max64);
     PutU32(out, seg.origin_min);
     PutU32(out, seg.origin_max);
     PutU64(out, seg.origin_filter);
-    for (const auto& [act, row] : seg.activities) {
-      PutU64(out, act);
-      PutU32(out, row.entries);
-      PutU64(out, row.pulses);
-    }
+  }
+  PutU64(out, index.activities.size());
+  for (const auto& [act, row] : index.activities) {
+    PutU64(out, act);
+    PutU64(out, row.entries);
+    PutU64(out, row.pulses);
   }
   PutU64(out, static_cast<uint64_t>(bytes));
   for (uint8_t m : kIndexEndMagic) {
@@ -130,16 +140,25 @@ uint64_t ProbeIndexTrailer(const uint8_t* tail, uint64_t file_size) {
 std::optional<TraceIndex> ParseTraceIndex(const uint8_t* data, size_t size,
                                           uint64_t data_bytes) {
   if (size < kIndexHeaderBytes + kIndexTrailerBytes ||
-      std::memcmp(data, kIndexMagic, 4) != 0 ||
-      GetU16(data + 4) != kIndexVersion) {
+      std::memcmp(data, kIndexMagic, 4) != 0) {
+    return std::nullopt;
+  }
+  TraceIndex index;
+  index.version = GetU16(data + 4);
+  bool v1 = index.version == kIndexVersionSegmentRows;
+  if (!v1 && index.version != kIndexVersion) {
     return std::nullopt;
   }
   uint32_t segment_count = GetU32(data + 8);
-  TraceIndex index;
   index.total_entries = GetU64(data + 12);
-  index.segments.reserve(segment_count);
   size_t at = kIndexHeaderBytes;
   size_t records_end = size - kIndexTrailerBytes;
+  if (segment_count > (records_end - at) / kSegmentRecordBytes) {
+    return std::nullopt;
+  }
+  index.segments.reserve(segment_count);
+  // v1 only: every segment's rows, folded into the rollup at the end.
+  std::vector<std::pair<act_t, ActivitySummary>> segment_rows;
   uint64_t next_offset = 0;
   uint64_t entry_sum = 0;
   for (uint32_t i = 0; i < segment_count; ++i) {
@@ -159,23 +178,27 @@ std::optional<TraceIndex> ParseTraceIndex(const uint8_t* data, size_t size,
     seg.origin_max = GetU32(p + 44);
     seg.origin_filter = GetU64(p + 48);
     at += kSegmentRecordBytes;
-    if (records_end - at < static_cast<size_t>(act_rows) * kActivityRowBytes) {
+    if (!v1 && act_rows != 0) {
+      return std::nullopt;  // Reserved in v2.
+    }
+    if (records_end - at <
+        static_cast<size_t>(act_rows) * kSegmentActivityRowBytes) {
       return std::nullopt;
     }
-    seg.activities.reserve(act_rows);
+    uint64_t row_entries = 0;
     for (uint16_t r = 0; r < act_rows; ++r) {
       const uint8_t* q = data + at;
       act_t act = GetU64(q);
       ActivitySummary row;
       row.entries = GetU32(q + 8);
       row.pulses = GetU64(q + 12);
-      // Rows are written in ascending label order; enforce it so the
-      // footer-vs-scan comparisons can rely on it.
-      if (r > 0 && act <= seg.activities.back().first) {
+      // Rows are written in ascending label order; enforce it.
+      if (r > 0 && act <= segment_rows.back().first) {
         return std::nullopt;
       }
-      seg.activities.emplace_back(act, row);
-      at += kActivityRowBytes;
+      row_entries += row.entries;
+      segment_rows.emplace_back(act, row);
+      at += kSegmentActivityRowBytes;
     }
     // Structural validity: segments tile [0, data_bytes) contiguously and
     // each length matches its own header-derived size exactly.
@@ -187,15 +210,59 @@ std::optional<TraceIndex> ParseTraceIndex(const uint8_t* data, size_t size,
         seg.length > data_bytes - seg.offset) {
       return std::nullopt;
     }
-    if (seg.entries > 0 && seg.time_min64 > seg.time_max64) {
+    if (row_entries > seg.entries ||
+        (seg.entries > 0 && seg.time_min64 > seg.time_max64)) {
       return std::nullopt;
     }
     next_offset = seg.offset + seg.length;
     entry_sum += seg.entries;
-    index.segments.push_back(std::move(seg));
+    index.segments.push_back(seg);
   }
-  if (at != records_end || next_offset != data_bytes ||
-      entry_sum != index.total_entries) {
+  if (next_offset != data_bytes || entry_sum != index.total_entries) {
+    return std::nullopt;
+  }
+  if (v1) {
+    // One in-memory shape for both versions: fold the per-segment rows.
+    std::stable_sort(
+        segment_rows.begin(), segment_rows.end(),
+        [](const auto& a, const auto& b) { return a.first < b.first; });
+    for (const auto& [act, row] : segment_rows) {
+      if (index.activities.empty() || index.activities.back().first != act) {
+        index.activities.emplace_back(act, row);
+      } else {
+        ActivitySummary& sum = index.activities.back().second;
+        sum.entries += row.entries;
+        sum.pulses += row.pulses;
+      }
+    }
+  } else {
+    if (records_end - at < kRollupCountBytes) {
+      return std::nullopt;
+    }
+    uint64_t rows = GetU64(data + at);
+    at += kRollupCountBytes;
+    if (rows != (records_end - at) / kActivityRowBytes) {
+      return std::nullopt;
+    }
+    index.activities.reserve(rows);
+    uint64_t row_entries = 0;
+    for (uint64_t r = 0; r < rows; ++r) {
+      const uint8_t* q = data + at;
+      act_t act = GetU64(q);
+      ActivitySummary row;
+      row.entries = GetU64(q + 8);
+      row.pulses = GetU64(q + 16);
+      // One row per label, ascending; entries are a subset of the stream.
+      if ((r > 0 && act <= index.activities.back().first) ||
+          row.entries > index.total_entries - row_entries) {
+        return std::nullopt;
+      }
+      row_entries += row.entries;
+      index.activities.emplace_back(act, row);
+      at += kActivityRowBytes;
+    }
+  }
+  if (at != records_end) {
     return std::nullopt;
   }
   // Trailer self-reference.
@@ -204,6 +271,12 @@ std::optional<TraceIndex> ParseTraceIndex(const uint8_t* data, size_t size,
     return std::nullopt;
   }
   return index;
+}
+
+TraceIndexBuilder::TraceIndexBuilder() {
+  // Sized for a few thousand motes' labels, so the emission consumer
+  // rarely rehashes while a large network streams in.
+  rollup_.reserve(1 << 14);
 }
 
 void TraceIndexBuilder::Add(const LogEntry& e) {
@@ -218,14 +291,20 @@ void TraceIndexBuilder::Add(const LogEntry& e) {
   if (has_icount_) {
     uint32_t delta = e.icount - last_icount_;
     if (delta != 0) {
-      cur_.activities[cpu_act_].pulses += delta;
+      if (cpu_row_ == nullptr) {
+        cpu_row_ = &rollup_[cpu_act_];
+      }
+      cpu_row_->pulses += delta;
     }
   }
   last_icount_ = e.icount;
   has_icount_ = true;
   if (IsActivityEntry(e)) {
-    cur_.activities[e.payload].entries += 1;
-    node_id_t origin = ActivityOrigin(e.payload);
+    // A copy: LogEntry is packed, and the lookup binds a reference.
+    act_t label = e.payload;
+    ActivitySummary& row = rollup_[label];
+    row.entries += 1;
+    node_id_t origin = ActivityOrigin(label);
     cur_.origin_filter |= uint64_t{1} << (origin % 64);
     if (origin != kBroadcastAddr) {
       if (origin < cur_.origin_min) {
@@ -236,7 +315,8 @@ void TraceIndexBuilder::Add(const LogEntry& e) {
       }
     }
     if (EntryType(e) == LogEntryType::kActivitySet && e.res_id == kSinkCpu) {
-      cpu_act_ = e.payload;
+      cpu_act_ = label;
+      cpu_row_ = &row;
     }
   }
 }
@@ -255,10 +335,16 @@ void TraceIndexBuilder::FinishSegment(uint64_t offset, uint64_t length,
   seg.origin_min = cur_.origin_min;
   seg.origin_max = cur_.origin_max;
   seg.origin_filter = cur_.origin_filter;
-  seg.activities.assign(cur_.activities.begin(), cur_.activities.end());
   index_.total_entries += entries;
-  index_.segments.push_back(std::move(seg));
+  index_.segments.push_back(seg);
   cur_ = CurrentSegment{};
+}
+
+const TraceIndex& TraceIndexBuilder::Finish() {
+  index_.activities.assign(rollup_.begin(), rollup_.end());
+  std::sort(index_.activities.begin(), index_.activities.end(),
+            [](const auto& a, const auto& b) { return a.first < b.first; });
+  return index_;
 }
 
 std::map<act_t, ActivitySummary> TraceIndexBuilder::ScanActivityTotals(
@@ -267,9 +353,8 @@ std::map<act_t, ActivitySummary> TraceIndexBuilder::ScanActivityTotals(
   for (const LogEntry& e : entries) {
     builder.Add(e);
   }
-  std::map<act_t, ActivitySummary> totals(builder.cur_.activities.begin(),
-                                          builder.cur_.activities.end());
-  return totals;
+  return std::map<act_t, ActivitySummary>(builder.rollup_.begin(),
+                                          builder.rollup_.end());
 }
 
 }  // namespace quanto

@@ -1,19 +1,22 @@
-// Per-segment footer index for spill files: the read-path half of the
-// trace-store design (ROADMAP open item 4).
+// Segment footer index for spill files: the read-path half of the
+// trace-store design.
 //
 // A FileTraceSink spill is a sequence of self-contained trace containers
 // ("segments", docs/TRACE_FORMAT.md). This module defines a trailing
-// *index block* that summarizes every segment — byte extent, entry count,
-// unwrapped time range, activity-origin membership, per-activity
-// entry/pulse totals — so readers can answer summary queries from the
-// footers alone and decode only the segments a filtered query intersects.
+// *index block* that describes every segment — byte extent, entry count,
+// unwrapped time range, activity-origin membership — so readers decode
+// only the segments a filtered query intersects, plus one file-wide
+// per-activity entry/pulse rollup that answers summary queries without
+// decoding any segment.
 //
 // The index is strictly additive: an indexed file is the unindexed file's
 // bytes followed by one index block, located through a fixed-size trailer
 // at end of file. Readers that predate the index parse the data segments
 // and never see it; index-aware readers validate the trailer and block
 // and fall back to a linear scan when either is damaged. The layout is
-// pinned in docs/TRACE_FORMAT.md ("Segment index").
+// pinned in docs/TRACE_FORMAT.md ("Segment index"). Writers emit only
+// block version 2; the parser also reads version 1, whose per-segment
+// activity rows it folds into the same file-wide rollup.
 //
 // Footer semantics are defined over the *stored* entry stream (the merged
 // single-log view quanto_report analyses), so a full scan of the decoded
@@ -29,18 +32,20 @@
 //    Bloom-style bitmap over origin % 64: a clear bit proves absence, a
 //    set bit only suggests presence. Broadcast-origin labels set their
 //    filter bit but are excluded from the min/max range.
-//  * activities — per label: entry count (activity-typed entries carrying
-//    the label) and iCount pulses attributed while the label was the
-//    CPU's current activity (kActivitySet on the CPU sink switches it;
-//    deltas between consecutive entries accrue to the activity current
-//    *before* each entry). Pulses × energy_per_pulse is the summary-query
-//    energy estimate.
+//  * activities (file-wide) — per label: entry count (activity-typed
+//    entries carrying the label) and iCount pulses attributed while the
+//    label was the CPU's current activity (kActivitySet on the CPU sink
+//    switches it; deltas between consecutive entries accrue to the
+//    activity current *before* each entry). Pulses × energy_per_pulse is
+//    the summary-query energy estimate.
 #ifndef QUANTO_SRC_ANALYSIS_TRACE_INDEX_H_
 #define QUANTO_SRC_ANALYSIS_TRACE_INDEX_H_
 
 #include <cstdint>
 #include <map>
 #include <optional>
+#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "src/analysis/trace_merge.h"  // StreamIngestState: the one unwrap.
@@ -52,24 +57,29 @@ namespace quanto {
 // Index block framing (all little-endian; see docs/TRACE_FORMAT.md).
 inline constexpr uint8_t kIndexMagic[4] = {'Q', 'N', 'T', 'I'};
 inline constexpr uint8_t kIndexEndMagic[4] = {'Q', 'I', 'D', 'X'};
-inline constexpr uint16_t kIndexVersion = 1;
+// Version 1 carried activity rows per segment; it is read, never written.
+inline constexpr uint16_t kIndexVersionSegmentRows = 1;
+// Version 2 carries one file-wide activity rollup; writers emit only this.
+inline constexpr uint16_t kIndexVersion = 2;
 // magic | u16 version | u16 reserved | u32 segment_count | u64 total_entries.
 inline constexpr size_t kIndexHeaderBytes = 4 + 2 + 2 + 4 + 8;
 // u64 index_bytes | end magic. Always the last 12 bytes of an indexed file.
 inline constexpr size_t kIndexTrailerBytes = 8 + 4;
-// Fixed part of one segment record (without its activity rows).
+// One segment record (v1: followed by its activity rows).
 inline constexpr size_t kSegmentRecordBytes = 8 + 8 + 4 + 2 + 2 + 8 + 8 + 4 + 4 + 8;
-// One per-activity summary row: u64 label | u32 entries | u64 pulses.
-inline constexpr size_t kActivityRowBytes = 8 + 4 + 8;
+// v1 per-segment activity row: u64 label | u32 entries | u64 pulses.
+inline constexpr size_t kSegmentActivityRowBytes = 8 + 4 + 8;
+// v2 rollup: u64 row count, then rows of u64 label | u64 entries | u64 pulses.
+inline constexpr size_t kRollupCountBytes = 8;
+inline constexpr size_t kActivityRowBytes = 8 + 8 + 8;
 
-// Per-activity roll-up within one segment (or across a whole index).
+// Per-activity roll-up across a whole index.
 struct ActivitySummary {
-  uint32_t entries = 0;  // Activity-typed entries carrying this label.
+  uint64_t entries = 0;  // Activity-typed entries carrying this label.
   uint64_t pulses = 0;   // iCount pulses attributed to this activity.
 };
 
-// One segment's footer. `activities` is sorted by label (map order at
-// build time), which the serialized form preserves.
+// One segment's footer: what pruning a filtered query uses.
 struct SegmentFooter {
   uint64_t offset = 0;  // Byte offset of the segment container in the file.
   uint64_t length = 0;  // Byte length of the segment container.
@@ -83,7 +93,6 @@ struct SegmentFooter {
   node_id_t origin_min = kBroadcastAddr;
   node_id_t origin_max = 0;
   uint64_t origin_filter = 0;  // Bit (origin % 64) per origin present.
-  std::vector<std::pair<act_t, ActivitySummary>> activities;
 
   // True when the footer cannot rule the origin out of the segment.
   bool MayContainOrigin(node_id_t origin) const;
@@ -93,22 +102,29 @@ struct SegmentFooter {
 };
 
 struct TraceIndex {
+  uint16_t version = kIndexVersion;  // Block version it was parsed from.
   uint64_t total_entries = 0;
   std::vector<SegmentFooter> segments;
+  // The file-wide rollup, sorted by label, one row per label.
+  std::vector<std::pair<act_t, ActivitySummary>> activities;
 
-  // Aggregates the per-segment activity rows — the footer-only answer to
-  // "total entries/pulses per activity".
+  // The rollup as a map — the footer-only answer to "total entries/pulses
+  // per activity".
   std::map<act_t, ActivitySummary> ActivityTotals() const;
+  // The label's rollup row, or nullptr when the stream never touched it.
+  const ActivitySummary* FindActivity(act_t label) const;
 };
 
-// Serializes an index into its trailing block (header, records, trailer).
+// Serializes an index into a version-2 block (header, segment records,
+// rollup, trailer); `index.version` is ignored.
 std::vector<uint8_t> SerializeTraceIndex(const TraceIndex& index);
 
-// Parses and validates an index block of exactly `size` bytes (trailer
-// included). `data_bytes` is the byte length of the segment region the
-// index must describe: validation requires the footers to tile
-// [0, data_bytes) contiguously, each length to match its header-derived
-// size, and every count/total to be self-consistent. Returns nullopt on
+// Parses and validates a version-1 or version-2 index block of exactly
+// `size` bytes (trailer included). `data_bytes` is the byte length of the
+// segment region the index must describe: validation requires the footers
+// to tile [0, data_bytes) contiguously, each length to match its
+// header-derived size, and every count/total to be self-consistent.
+// Version-1 rows are folded into the file-wide rollup. Returns nullopt on
 // any violation — callers treat that as "no index" and fall back to a
 // linear scan, never as a broken file.
 std::optional<TraceIndex> ParseTraceIndex(const uint8_t* data, size_t size,
@@ -124,8 +140,9 @@ uint64_t ProbeIndexTrailer(const uint8_t* tail, uint64_t file_size);
 // Accumulates footers over an entry stream, segment by segment: Add()
 // every entry in stream order; FinishSegment() when the entries appended
 // since the previous finish have been written as one container at
-// [offset, offset+length). Global state (the time unwrap, the CPU
-// activity, the pulse chain) deliberately spans segment boundaries — the
+// [offset, offset+length); Finish() once at the end to sort the rollup
+// into the index. Global state (the time unwrap, the CPU activity, the
+// pulse chain, the rollup) deliberately spans segment boundaries — the
 // footers describe one continuous stream cut into containers.
 //
 // The same accumulator defines the full-scan semantics: ScanActivityTotals
@@ -133,6 +150,11 @@ uint64_t ProbeIndexTrailer(const uint8_t* tail, uint64_t file_size);
 // full-scan totals" is an identity, not a hope.
 class TraceIndexBuilder {
  public:
+  TraceIndexBuilder();
+  // Not copyable: cpu_row_ points into rollup_.
+  TraceIndexBuilder(const TraceIndexBuilder&) = delete;
+  TraceIndexBuilder& operator=(const TraceIndexBuilder&) = delete;
+
   void Add(const LogEntry& e);
 
   // Seals the current segment's footer. `version` is the container
@@ -144,8 +166,9 @@ class TraceIndexBuilder {
   // Entries Added but not yet sealed into a footer.
   uint32_t pending_entries() const { return cur_.count; }
 
-  const TraceIndex& index() const { return index_; }
-  TraceIndex TakeIndex() { return std::move(index_); }
+  // Sorts the rollup of every entry Added so far into the index's
+  // `activities` and returns the index.
+  const TraceIndex& Finish();
 
   // The shared full-scan definition of the per-activity totals.
   static std::map<act_t, ActivitySummary> ScanActivityTotals(
@@ -159,14 +182,17 @@ class TraceIndexBuilder {
     node_id_t origin_min = kBroadcastAddr;
     node_id_t origin_max = 0;
     uint64_t origin_filter = 0;
-    std::map<act_t, ActivitySummary> activities;
   };
 
   TraceIndex index_;
   CurrentSegment cur_;
   // Stream-global state, spanning segments.
   StreamIngestState time_;
+  std::unordered_map<act_t, ActivitySummary> rollup_;
   act_t cpu_act_ = 0;  // Label 0 ("0:Idle") until the first CPU set.
+  // rollup_[cpu_act_] once that row exists (node pointers stay valid
+  // across rehashing), so pulse attribution costs no lookup.
+  ActivitySummary* cpu_row_ = nullptr;
   uint32_t last_icount_ = 0;
   bool has_icount_ = false;
 };

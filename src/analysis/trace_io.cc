@@ -303,7 +303,7 @@ bool FileTraceSink::Close() {
     // The trailing index block: data segments are already byte-identical
     // with what an unindexed sink writes; everything from here on is the
     // appended index.
-    auto blob = SerializeTraceIndex(index_builder_.index());
+    auto blob = SerializeTraceIndex(index_builder_.Finish());
     out_.write(reinterpret_cast<const char*>(blob.data()),
                static_cast<std::streamsize>(blob.size()));
     ok_ = static_cast<bool>(out_);

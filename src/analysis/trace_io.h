@@ -125,13 +125,13 @@ std::optional<std::vector<LogEntry>> ReadTraceFile(const std::string& path);
 // WriteTraceFile on the same entries.
 //
 // With `Options::write_index` set, the sink also accumulates a
-// per-segment footer (time range, origin membership, per-activity
-// totals — see src/analysis/trace_index.h) as entries arrive and appends
-// the index block at Close(). Accumulation happens wherever Append runs —
-// under off-barrier emission that is the EmissionPipeline consumer
-// thread, so indexing adds zero window-barrier cost. The data segments
-// are byte-identical with the index on or off; the index is purely
-// appended.
+// per-segment footer (time range, origin membership) and the file-wide
+// per-activity totals (see src/analysis/trace_index.h) as entries arrive
+// and appends the index block at Close(). Accumulation happens wherever
+// Append runs — under off-barrier emission that is the EmissionPipeline
+// consumer thread, so indexing adds zero window-barrier cost. The data
+// segments are byte-identical with the index on or off; the index is
+// purely appended.
 class FileTraceSink {
  public:
   inline static constexpr size_t kDefaultSegmentEntries = 1 << 16;
@@ -166,8 +166,6 @@ class FileTraceSink {
   // Bytes of the appended index block; 0 until Close() (or when not
   // indexing).
   uint64_t index_bytes_written() const { return index_bytes_written_; }
-  // The accumulated footers (complete only after Close()).
-  const TraceIndex& index() const { return index_builder_.index(); }
 
  private:
   void SpillSegment();

@@ -236,10 +236,6 @@ size_t ShardRunBuilder::BuildRun(Tick barrier, bool flush_charges) {
   carry_.assign(split, run_.end());
   run_.erase(split, run_.end());
   entries_carried_ += carry_.size();
-  if (!run_.empty()) {
-    ++runs_built_;
-    entries_premerged_ += run_.size();
-  }
   if (profile_) {
     last_build_us_ = static_cast<uint32_t>(
         std::chrono::duration_cast<std::chrono::microseconds>(

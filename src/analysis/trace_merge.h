@@ -194,7 +194,6 @@ class StreamingTraceMerger {
   // vector have been".
   size_t buffered() const { return buffered_; }
   size_t peak_buffered() const { return peak_buffered_; }
-  size_t stream_count() const { return streams_.size(); }
 
  private:
   // One ingested run: a sorted span of merged entries consumed from
@@ -329,8 +328,6 @@ class ShardRunBuilder : public TraceSink {
   // SealToSink calls issued — one per dirty logger per window, never one
   // per mote ("idle motes are never swept"; the dirty-list tests pin it).
   uint64_t seal_calls() const { return seal_calls_; }
-  uint64_t runs_built() const { return runs_built_; }
-  uint64_t entries_premerged() const { return entries_premerged_; }
   // Boundary entries held back for the next run, cumulatively.
   uint64_t entries_carried() const { return entries_carried_; }
   // Per-node chunk-sequence gaps observed on ingest (0 in a healthy run).
@@ -375,8 +372,6 @@ class ShardRunBuilder : public TraceSink {
   std::vector<std::vector<MergedEntry>> spare_runs_;
   TraceChunkPool pool_;
   uint64_t seal_calls_ = 0;
-  uint64_t runs_built_ = 0;
-  uint64_t entries_premerged_ = 0;
   uint64_t entries_carried_ = 0;
   uint64_t seq_gaps_ = 0;
   bool profile_ = false;

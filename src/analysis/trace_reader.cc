@@ -86,19 +86,33 @@ bool EntryMatches(const TraceQuery& q, const std::vector<node_id_t>& origins,
                            ActivityOrigin(e.payload)))) {
     return false;
   }
+  // act_t{...}: a copy, since LogEntry is packed and binary_search binds
+  // a reference.
   if (!activities.empty() &&
       (!IsActivityEntry(e) ||
        !std::binary_search(activities.begin(), activities.end(),
-                           e.payload))) {
+                           act_t{e.payload}))) {
     return false;
   }
   return true;
 }
 
-// Can the footer rule the whole segment out of the query?
+bool MayContainAnyOrigin(const SegmentFooter& seg,
+                         const std::vector<node_id_t>& origins) {
+  for (node_id_t origin : origins) {
+    if (seg.MayContainOrigin(origin)) {
+      return true;
+    }
+  }
+  return false;
+}
+
+// Can the footer rule the whole segment out of the query? An activity
+// list prunes through `activity_origins`, its labels' origins: a segment
+// holding an entry with a label holds an entry from the label's origin.
 bool SegmentMayMatch(const TraceQuery& q,
                      const std::vector<node_id_t>& origins,
-                     const std::vector<act_t>& activities,
+                     const std::vector<node_id_t>& activity_origins,
                      const SegmentFooter& seg) {
   if (seg.entries == 0) {
     return false;
@@ -106,37 +120,11 @@ bool SegmentMayMatch(const TraceQuery& q,
   if (q.has_time_range && !seg.OverlapsTime(q.time_min, q.time_max)) {
     return false;
   }
-  if (!origins.empty()) {
-    bool any = false;
-    for (node_id_t origin : origins) {
-      if (seg.MayContainOrigin(origin)) {
-        any = true;
-        break;
-      }
-    }
-    if (!any) {
-      return false;
-    }
+  if (!origins.empty() && !MayContainAnyOrigin(seg, origins)) {
+    return false;
   }
-  if (!activities.empty()) {
-    bool any = false;
-    for (act_t act : activities) {
-      auto it = std::lower_bound(
-          seg.activities.begin(), seg.activities.end(), act,
-          [](const std::pair<act_t, ActivitySummary>& row, act_t value) {
-            return row.first < value;
-          });
-      // Only rows with stored entries prove the label appears in the
-      // segment (a row can exist purely for attributed pulses).
-      if (it != seg.activities.end() && it->first == act &&
-          it->second.entries > 0) {
-        any = true;
-        break;
-      }
-    }
-    if (!any) {
-      return false;
-    }
+  if (!q.activities.empty() && !MayContainAnyOrigin(seg, activity_origins)) {
+    return false;
   }
   return true;
 }
@@ -347,11 +335,21 @@ std::optional<std::vector<LogEntry>> TraceFileReader::ReadFiltered(
     return selected;
   }
 
+  // Only labels the rollup counts entries for can appear in a segment (a
+  // row can exist purely for attributed pulses); the rest prune every
+  // segment.
+  std::vector<node_id_t> activity_origins;
+  for (act_t act : activities) {
+    const ActivitySummary* row = index_.FindActivity(act);
+    if (row != nullptr && row->entries > 0) {
+      activity_origins.push_back(ActivityOrigin(act));
+    }
+  }
   const std::vector<SegmentFooter>& segs = index_.segments;
   std::vector<size_t> candidates;
   uint64_t pruned_entries = 0;
   for (size_t i = 0; i < segs.size(); ++i) {
-    if (SegmentMayMatch(query, origins, activities, segs[i])) {
+    if (SegmentMayMatch(query, origins, activity_origins, segs[i])) {
       candidates.push_back(i);
       pruned_entries += segs[i].entries;
     }

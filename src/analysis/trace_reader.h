@@ -15,12 +15,13 @@
 //    re-merging.
 //  * ReadFiltered — a TraceQuery (time range / activity origins /
 //    activity labels). The index prunes to intersecting segments
-//    (segments_read / segments_skipped counters prove it); an exact
+//    (segments_read / segments_skipped counters prove it; activity labels
+//    prune through their origins); an exact
 //    entry-level filter then runs on every decoded segment, so the result
 //    equals filter(ReadAll) exactly — the index only ever skips segments
 //    it can prove are disjoint from the query.
 //  * ActivityTotals — per-activity entry/pulse totals answered from the
-//    footers alone on indexed files (zero segments decoded).
+//    index's file-wide rollup on indexed files (zero segments decoded).
 // Unindexed files (and files whose index is damaged) fall back to the
 // linear whole-blob scan for every operation; only the counters differ.
 //
@@ -108,7 +109,7 @@ class TraceFileReader {
       const TraceQuery& query, size_t threads = 1,
       ReadStats* stats = nullptr) const;
 
-  // Per-activity totals. Indexed: aggregated from the footers, decoding
+  // Per-activity totals. Indexed: the index's file-wide rollup, decoding
   // no segment (stats->segments_read == 0). Unindexed: full linear scan
   // through TraceIndexBuilder::ScanActivityTotals — the same definition
   // the footers were built with.

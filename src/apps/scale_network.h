@@ -186,10 +186,6 @@ class ScaleNetwork {
   // Runs stream through the emission pipeline (one pre-merge builder per
   // shard); false on batch-collected runs.
   bool premerge_active() const { return !builders_.empty(); }
-  size_t premerge_shards() const { return builders_.size(); }
-  const ShardRunBuilder& premerge_builder(size_t shard) const {
-    return *builders_[shard];
-  }
   // Summed over shards / motes.
   uint64_t premerge_seal_calls() const;
   uint64_t premerge_seq_gaps() const;

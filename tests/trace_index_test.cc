@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
 #include <iterator>
@@ -135,11 +136,116 @@ void ExpectSameEntries(const std::vector<LogEntry>& got,
 
 // --- Builder + serialized block -------------------------------------------
 
+void PutLe(std::vector<uint8_t>& out, uint64_t v, int bytes) {
+  for (int i = 0; i < bytes; ++i) {
+    out.push_back(static_cast<uint8_t>((v >> (8 * i)) & 0xFF));
+  }
+}
+
+using ActivityRows = std::vector<std::pair<act_t, ActivitySummary>>;
+
+// A version-1 block — activity rows after each segment record, u32 row
+// entries — as the format's version-1 writers laid it out. Writers now
+// emit only version 2; this is the parse-compatibility input.
+std::vector<uint8_t> SerializeV1Block(const TraceIndex& index,
+                                      const std::vector<ActivityRows>& rows) {
+  std::vector<uint8_t> out = {'Q', 'N', 'T', 'I'};
+  PutLe(out, kIndexVersionSegmentRows, 2);
+  PutLe(out, 0, 2);
+  PutLe(out, index.segments.size(), 4);
+  PutLe(out, index.total_entries, 8);
+  for (size_t i = 0; i < index.segments.size(); ++i) {
+    const SegmentFooter& seg = index.segments[i];
+    PutLe(out, seg.offset, 8);
+    PutLe(out, seg.length, 8);
+    PutLe(out, seg.entries, 4);
+    PutLe(out, seg.container_version, 2);
+    PutLe(out, rows[i].size(), 2);
+    PutLe(out, seg.time_min64, 8);
+    PutLe(out, seg.time_max64, 8);
+    PutLe(out, seg.origin_min, 4);
+    PutLe(out, seg.origin_max, 4);
+    PutLe(out, seg.origin_filter, 8);
+    for (const auto& [act, row] : rows[i]) {
+      PutLe(out, act, 8);
+      PutLe(out, row.entries, 4);
+      PutLe(out, row.pulses, 8);
+    }
+  }
+  PutLe(out, out.size() + kIndexTrailerBytes, 8);
+  out.insert(out.end(), {'Q', 'I', 'D', 'X'});
+  return out;
+}
+
+// What every block the parser accepts must satisfy, however it was
+// damaged: footers tile [0, data_bytes), entry counts add up, and the
+// rollup is one ascending row per label counting a subset of the entries.
+void ExpectSelfConsistent(const TraceIndex& index, uint64_t data_bytes) {
+  uint64_t next = 0;
+  uint64_t entries = 0;
+  for (const SegmentFooter& seg : index.segments) {
+    EXPECT_EQ(seg.offset, next);
+    uint64_t record_bytes = TraceContainerEntryBytes(seg.container_version);
+    EXPECT_EQ(seg.length,
+              kTraceContainerHeaderBytes + seg.entries * record_bytes);
+    if (seg.entries > 0) {
+      EXPECT_LE(seg.time_min64, seg.time_max64);
+    }
+    next += seg.length;
+    entries += seg.entries;
+  }
+  EXPECT_EQ(next, data_bytes);
+  EXPECT_EQ(entries, index.total_entries);
+  uint64_t activity_entries = 0;
+  for (size_t i = 0; i < index.activities.size(); ++i) {
+    if (i > 0) {
+      EXPECT_LT(index.activities[i - 1].first, index.activities[i].first);
+    }
+    activity_entries += index.activities[i].second.entries;
+  }
+  EXPECT_LE(activity_entries, index.total_entries);
+  EXPECT_EQ(index.ActivityTotals().size(), index.activities.size());
+}
+
+// Two v3 segments of 32 entries, footers and rollup from the builder.
+struct TwoSegmentIndex {
+  TraceIndex index;
+  std::vector<ActivityRows> segment_rows;  // The same totals, per segment.
+  uint64_t data_bytes = 0;
+};
+
+TwoSegmentIndex BuildTwoSegmentIndex() {
+  TwoSegmentIndex out;
+  auto entries = SyntheticStream(64);
+  uint64_t seg_len = kTraceContainerHeaderBytes + 32 * 16;
+  TraceIndexBuilder builder;
+  for (size_t s = 0; s < 2; ++s) {
+    std::vector<LogEntry> part(entries.begin() + 32 * s,
+                               entries.begin() + 32 * (s + 1));
+    for (const LogEntry& e : part) {
+      builder.Add(e);
+    }
+    builder.FinishSegment(s * seg_len, seg_len, 3, 32);
+    // Segment 1 alone would lose the pulses carried over from segment 0's
+    // last CPU activity; only entry counts are per-segment facts here.
+    ActivityRows rows;
+    for (const auto& [act, row] : TraceIndexBuilder::ScanActivityTotals(part)) {
+      if (row.entries > 0) {
+        rows.emplace_back(act, ActivitySummary{row.entries, 0});
+      }
+    }
+    out.segment_rows.push_back(rows);
+  }
+  out.index = builder.Finish();
+  out.data_bytes = 2 * seg_len;
+  return out;
+}
+
 TEST(TraceIndexTest, BuilderFootersDescribeSegments) {
   TraceIndexBuilder builder;
   // Segment 0: two activity entries, the first switching the CPU to
   // label (5, 2). Pulses between entries accrue to the activity current
-  // *before* each entry — label 0 gets the 10 pulses up to entry 2.
+  // *before* each entry — label (5, 2) gets the 10 pulses up to entry 2.
   builder.Add(ActEntry(100, 50, 5, 2));
   builder.Add(ActEntry(200, 60, 7, 3, LogEntryType::kActivityAdd,
                        kSinkRadioRx));
@@ -149,7 +255,8 @@ TEST(TraceIndexTest, BuilderFootersDescribeSegments) {
   builder.Add(ActEntry(10, 70, 70, 1));  // u32 time wrapped past zero.
   builder.FinishSegment(40, 44, 2, 2);
 
-  const TraceIndex& index = builder.index();
+  const TraceIndex& index = builder.Finish();
+  EXPECT_EQ(index.version, kIndexVersion);
   ASSERT_EQ(index.segments.size(), 2u);
   EXPECT_EQ(index.total_entries, 4u);
 
@@ -163,17 +270,11 @@ TEST(TraceIndexTest, BuilderFootersDescribeSegments) {
   EXPECT_EQ(s0.origin_min, 5u);
   EXPECT_EQ(s0.origin_max, 7u);
   EXPECT_EQ(s0.origin_filter, (uint64_t{1} << 5) | (uint64_t{1} << 7));
-  ASSERT_EQ(s0.activities.size(), 2u);
-  EXPECT_EQ(s0.activities[0].first, MakeActivity(5, 2));
-  EXPECT_EQ(s0.activities[0].second.entries, 1u);
-  // Entry 2's delta (60 - 50) lands on the activity set at entry 1.
-  EXPECT_EQ(s0.activities[0].second.pulses, 10u);
-  EXPECT_EQ(s0.activities[1].first, MakeActivity(7, 3));
-  EXPECT_EQ(s0.activities[1].second.pulses, 0u);
   EXPECT_TRUE(s0.MayContainOrigin(5));
   EXPECT_TRUE(s0.MayContainOrigin(7));
   EXPECT_FALSE(s0.MayContainOrigin(6));    // Range hit, filter bit clear.
   EXPECT_FALSE(s0.MayContainOrigin(200));  // Outside the range.
+  EXPECT_FALSE(s0.MayContainOrigin(70));   // Only segment 1 holds it.
   EXPECT_TRUE(s0.OverlapsTime(150, 400));
   EXPECT_FALSE(s0.OverlapsTime(201, 400));
 
@@ -183,12 +284,25 @@ TEST(TraceIndexTest, BuilderFootersDescribeSegments) {
   EXPECT_EQ(s1.time_max64, (uint64_t{1} << 32) | 10u);
   EXPECT_EQ(s1.origin_min, 70u);
   EXPECT_EQ(s1.origin_max, 70u);
-  // The CPU was still on (5, 2): segment 1's 10 pulses accrue to it even
-  // though no entry in segment 1 carries the label.
-  ASSERT_EQ(s1.activities.size(), 2u);
-  EXPECT_EQ(s1.activities[0].first, MakeActivity(5, 2));
-  EXPECT_EQ(s1.activities[0].second.entries, 0u);
-  EXPECT_EQ(s1.activities[0].second.pulses, 10u);
+  EXPECT_FALSE(s1.MayContainOrigin(5));
+
+  // The file-wide rollup, sorted by label.
+  ASSERT_EQ(index.activities.size(), 3u);
+  EXPECT_EQ(index.activities[0].first, MakeActivity(5, 2));
+  EXPECT_EQ(index.activities[0].second.entries, 1u);
+  // Entry 2's delta (60 - 50) lands on the activity set at entry 1, and
+  // the pulse chain carries across the segment cut: the CPU was still on
+  // (5, 2) for segment 1's two deltas (5 + 5), though no entry in
+  // segment 1 carries the label.
+  EXPECT_EQ(index.activities[0].second.pulses, 20u);
+  EXPECT_EQ(index.activities[1].first, MakeActivity(7, 3));
+  EXPECT_EQ(index.activities[1].second.entries, 1u);
+  EXPECT_EQ(index.activities[1].second.pulses, 0u);
+  EXPECT_EQ(index.activities[2].first, MakeActivity(70, 1));
+  EXPECT_EQ(index.activities[2].second.entries, 1u);
+  EXPECT_EQ(index.activities[2].second.pulses, 0u);
+  ASSERT_NE(index.FindActivity(MakeActivity(7, 3)), nullptr);
+  EXPECT_EQ(index.FindActivity(MakeActivity(7, 4)), nullptr);
 }
 
 TEST(TraceIndexTest, GoldenIndexBlockBytes) {
@@ -207,12 +321,47 @@ TEST(TraceIndexTest, GoldenIndexBlockBytes) {
   seg.origin_min = 5;
   seg.origin_max = 7;
   seg.origin_filter = 0xA0;
-  seg.activities.push_back(
-      {MakeActivity(5, 2), ActivitySummary{1, 10}});
   index.segments.push_back(seg);
+  index.activities.push_back({MakeActivity(5, 2), ActivitySummary{1, 10}});
 
   auto blob = SerializeTraceIndex(index);
-  std::vector<uint8_t> expected = {
+  std::vector<uint8_t> expected_v2 = {
+      // Header: magic, version 2, reserved, 1 segment, 2 entries.
+      'Q', 'N', 'T', 'I', 2, 0, 0, 0, 1, 0, 0, 0,
+      2, 0, 0, 0, 0, 0, 0, 0,
+      // Segment record: offset 0, length 0x24 (v1: 12 + 2 * 12).
+      0, 0, 0, 0, 0, 0, 0, 0, 0x24, 0, 0, 0, 0, 0, 0, 0,
+      // entries 2, container version 1, reserved 0.
+      2, 0, 0, 0, 1, 0, 0, 0,
+      // time_min64, time_max64 (little-endian).
+      8, 7, 6, 5, 4, 3, 2, 1,
+      0x18, 0x17, 0x16, 0x15, 0x14, 0x13, 0x12, 0x11,
+      // origin_min 5, origin_max 7, origin_filter 0xA0.
+      5, 0, 0, 0, 7, 0, 0, 0, 0xA0, 0, 0, 0, 0, 0, 0, 0,
+      // Rollup: 1 row — label (5 << 16 | 2), 1 entry, 10 pulses.
+      1, 0, 0, 0, 0, 0, 0, 0,
+      2, 0, 5, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0,
+      10, 0, 0, 0, 0, 0, 0, 0,
+      // Trailer: block size 120 = 20 + 56 + 8 + 24 + 12, end magic.
+      120, 0, 0, 0, 0, 0, 0, 0, 'Q', 'I', 'D', 'X',
+  };
+  EXPECT_EQ(blob, expected_v2);
+
+  auto parsed = ParseTraceIndex(blob.data(), blob.size(), 0x24);
+  ASSERT_TRUE(parsed.has_value());
+  EXPECT_EQ(parsed->version, 2u);
+  EXPECT_EQ(parsed->total_entries, 2u);
+  ASSERT_EQ(parsed->segments.size(), 1u);
+  EXPECT_EQ(parsed->segments[0].time_min64, seg.time_min64);
+  EXPECT_EQ(parsed->segments[0].origin_filter, seg.origin_filter);
+  ASSERT_EQ(parsed->activities.size(), 1u);
+  EXPECT_EQ(parsed->activities[0].first, MakeActivity(5, 2));
+  EXPECT_EQ(parsed->activities[0].second.entries, 1u);
+  EXPECT_EQ(parsed->activities[0].second.pulses, 10u);
+
+  // The same index as a version-1 block, as version-1 writers produced
+  // it: the parse-compatibility fixture.
+  std::vector<uint8_t> fixture_v1 = {
       // Header: magic, version 1, reserved, 1 segment, 2 entries.
       'Q', 'N', 'T', 'I', 1, 0, 0, 0, 1, 0, 0, 0,
       2, 0, 0, 0, 0, 0, 0, 0,
@@ -230,50 +379,164 @@ TEST(TraceIndexTest, GoldenIndexBlockBytes) {
       // Trailer: block size 108 = 20 + 56 + 20 + 12, end magic.
       108, 0, 0, 0, 0, 0, 0, 0, 'Q', 'I', 'D', 'X',
   };
-  EXPECT_EQ(blob, expected);
+  EXPECT_EQ(SerializeV1Block(index, {index.activities}), fixture_v1);
+  auto old = ParseTraceIndex(fixture_v1.data(), fixture_v1.size(), 0x24);
+  ASSERT_TRUE(old.has_value());
+  EXPECT_EQ(old->version, 1u);
+  ASSERT_EQ(old->segments.size(), 1u);
+  EXPECT_EQ(old->segments[0].time_max64, seg.time_max64);
+  EXPECT_EQ(old->segments[0].origin_max, seg.origin_max);
+  // The v1 summary is the sum of its rows.
+  auto totals = old->ActivityTotals();
+  ASSERT_EQ(totals.size(), 1u);
+  EXPECT_EQ(totals[MakeActivity(5, 2)].entries, 1u);
+  EXPECT_EQ(totals[MakeActivity(5, 2)].pulses, 10u);
+  // Re-serializing a parsed v1 index writes the v2 block.
+  EXPECT_EQ(SerializeTraceIndex(*old), expected_v2);
+}
 
-  auto parsed = ParseTraceIndex(blob.data(), blob.size(), 0x24);
+TEST(TraceIndexTest, V1RowsFoldIntoTheRollup) {
+  TwoSegmentIndex two = BuildTwoSegmentIndex();
+  // Give both segments a pulse row for a label neither counts entries of,
+  // and one shared label pulses in both: the fold sums per label.
+  act_t pulse_only = MakeActivity(999, 1);
+  two.segment_rows[0].emplace_back(pulse_only, ActivitySummary{0, 7});
+  two.segment_rows[1].emplace_back(pulse_only, ActivitySummary{0, 5});
+  auto blob = SerializeV1Block(two.index, two.segment_rows);
+  auto parsed = ParseTraceIndex(blob.data(), blob.size(), two.data_bytes);
   ASSERT_TRUE(parsed.has_value());
-  EXPECT_EQ(parsed->total_entries, 2u);
-  ASSERT_EQ(parsed->segments.size(), 1u);
-  EXPECT_EQ(parsed->segments[0].time_min64, seg.time_min64);
-  EXPECT_EQ(parsed->segments[0].origin_filter, seg.origin_filter);
-  ASSERT_EQ(parsed->segments[0].activities.size(), 1u);
-  EXPECT_EQ(parsed->segments[0].activities[0].second.pulses, 10u);
+  EXPECT_EQ(parsed->version, kIndexVersionSegmentRows);
+  ExpectSelfConsistent(*parsed, two.data_bytes);
+
+  std::map<act_t, ActivitySummary> want;
+  for (const ActivityRows& rows : two.segment_rows) {
+    for (const auto& [act, row] : rows) {
+      want[act].entries += row.entries;
+      want[act].pulses += row.pulses;
+    }
+  }
+  auto totals = parsed->ActivityTotals();
+  ASSERT_EQ(totals.size(), want.size());
+  for (const auto& [act, row] : want) {
+    EXPECT_EQ(totals[act].entries, row.entries);
+    EXPECT_EQ(totals[act].pulses, row.pulses);
+  }
+  EXPECT_EQ(totals[pulse_only].pulses, 12u);
+  // And the entry counts are the builder's own rollup counts.
+  for (const auto& [act, row] : two.index.activities) {
+    EXPECT_EQ(totals[act].entries, row.entries);
+  }
 }
 
 TEST(TraceIndexTest, ParseRejectsCorruptBlocks) {
-  // Two segments of 32 v3 (16-byte) records.
-  TraceIndexBuilder builder;
-  auto entries = SyntheticStream(64);
-  uint64_t seg_len = kTraceContainerHeaderBytes + 32 * 16;
-  for (size_t i = 0; i < 32; ++i) {
-    builder.Add(entries[i]);
-  }
-  builder.FinishSegment(0, seg_len, 3, 32);
-  for (size_t i = 32; i < 64; ++i) {
-    builder.Add(entries[i]);
-  }
-  builder.FinishSegment(seg_len, seg_len, 3, 32);
-  uint64_t data_bytes = 2 * seg_len;
-  auto good = SerializeTraceIndex(builder.index());
-  ASSERT_TRUE(ParseTraceIndex(good.data(), good.size(), data_bytes));
+  TwoSegmentIndex two = BuildTwoSegmentIndex();
+  uint64_t data_bytes = two.data_bytes;
+  auto v2 = SerializeTraceIndex(two.index);
+  auto v1 = SerializeV1Block(two.index, two.segment_rows);
+  ASSERT_TRUE(ParseTraceIndex(v2.data(), v2.size(), data_bytes));
+  ASSERT_TRUE(ParseTraceIndex(v1.data(), v1.size(), data_bytes));
 
-  auto mutate = [&](size_t at, uint8_t value) {
+  auto mutate = [&](const std::vector<uint8_t>& good, size_t at,
+                    uint8_t value) {
     auto blob = good;
     blob[at] = value;
     return ParseTraceIndex(blob.data(), blob.size(), data_bytes).has_value();
   };
-  EXPECT_FALSE(mutate(0, 'X'));                  // Magic.
-  EXPECT_FALSE(mutate(4, 9));                    // Version.
-  EXPECT_FALSE(mutate(8, 7));                    // Segment count.
-  EXPECT_FALSE(mutate(12, 99));                  // Total entries.
-  EXPECT_FALSE(mutate(20, 1));                   // Segment 0 offset != 0.
-  EXPECT_FALSE(mutate(good.size() - 1, 'x'));    // End magic.
-  EXPECT_FALSE(mutate(good.size() - 12, 0xFF));  // Trailer size.
-  // Truncation and a lying data_bytes both reject.
-  EXPECT_FALSE(ParseTraceIndex(good.data(), good.size() - 1, data_bytes));
-  EXPECT_FALSE(ParseTraceIndex(good.data(), good.size(), data_bytes - 16));
+  for (const auto* good : {&v1, &v2}) {
+    SCOPED_TRACE(good == &v1 ? "v1" : "v2");
+    EXPECT_FALSE(mutate(*good, 0, 'X'));                   // Magic.
+    EXPECT_FALSE(mutate(*good, 4, 9));                     // Version.
+    EXPECT_FALSE(mutate(*good, 8, 7));                     // Segment count.
+    EXPECT_FALSE(mutate(*good, 12, 99));                   // Total entries.
+    EXPECT_FALSE(mutate(*good, 20, 1));                    // Seg 0 offset.
+    EXPECT_FALSE(mutate(*good, good->size() - 1, 'x'));    // End magic.
+    EXPECT_FALSE(mutate(*good, good->size() - 12, 0xFF));  // Trailer size.
+    // Truncation and a lying data_bytes both reject.
+    EXPECT_FALSE(
+        ParseTraceIndex(good->data(), good->size() - 1, data_bytes));
+    EXPECT_FALSE(ParseTraceIndex(good->data(), good->size(), data_bytes - 16));
+  }
+
+  // v2 specifics. Segment 0's reserved field (v1's row count) is zero.
+  EXPECT_FALSE(mutate(v2, kIndexHeaderBytes + 22, 1));
+  size_t rollup = kIndexHeaderBytes + 2 * kSegmentRecordBytes;
+  ASSERT_GE(two.index.activities.size(), 2u);
+  EXPECT_FALSE(mutate(v2, rollup, 0));  // Row count disagrees with the block.
+  // Rows out of order: swap the first two labels.
+  {
+    auto blob = v2;
+    size_t a = rollup + kRollupCountBytes;
+    std::swap_ranges(blob.begin() + a, blob.begin() + a + 8,
+                     blob.begin() + a + kActivityRowBytes);
+    EXPECT_FALSE(ParseTraceIndex(blob.data(), blob.size(), data_bytes));
+  }
+  // A row counting more entries than the whole stream holds.
+  EXPECT_FALSE(mutate(v2, rollup + kRollupCountBytes + 8 + 4, 1));
+  // v1: a segment whose rows count more entries than the segment holds.
+  EXPECT_FALSE(mutate(v1, kIndexHeaderBytes + kSegmentRecordBytes + 8 + 3,
+                      1));
+}
+
+TEST(TraceIndexTest, ParseSurvivesEveryTruncationAndByteFlip) {
+  // Deterministic mutation sweep over a small v1 and v2 block: every
+  // truncation length and every single-byte flip either rejects or
+  // yields a self-consistent index. Run under ASan/UBSan (label
+  // traceindex) this is the parser's crash-freedom check.
+  TwoSegmentIndex two = BuildTwoSegmentIndex();
+  uint64_t data_bytes = two.data_bytes;
+  auto check = [&](const std::vector<uint8_t>& blob, const char* what,
+                   size_t at) {
+    auto parsed = ParseTraceIndex(blob.data(), blob.size(), data_bytes);
+    if (parsed.has_value()) {
+      SCOPED_TRACE(std::string(what) + " at " + std::to_string(at));
+      ExpectSelfConsistent(*parsed, data_bytes);
+    }
+    return parsed.has_value();
+  };
+  // Bytes no flip may survive: the header (bar its reserved field), each
+  // segment record's extent/count/version/row-count fields, the v2
+  // rollup count and the trailer.
+  auto structural = [&](bool v1, size_t size) {
+    std::vector<bool> hit(size, false);
+    auto mark = [&](size_t from, size_t n) {
+      std::fill(hit.begin() + from, hit.begin() + from + n, true);
+    };
+    mark(0, 6);
+    mark(8, kIndexHeaderBytes - 8);
+    size_t at = kIndexHeaderBytes;
+    for (const ActivityRows& rows : two.segment_rows) {
+      mark(at, 24);
+      at += kSegmentRecordBytes +
+            (v1 ? rows.size() * kSegmentActivityRowBytes : 0);
+    }
+    if (!v1) {
+      mark(at, kRollupCountBytes);
+    }
+    mark(size - kIndexTrailerBytes, kIndexTrailerBytes);
+    return hit;
+  };
+  for (bool v1 : {true, false}) {
+    SCOPED_TRACE(v1 ? "v1" : "v2");
+    auto good = v1 ? SerializeV1Block(two.index, two.segment_rows)
+                   : SerializeTraceIndex(two.index);
+    ASSERT_TRUE(check(good, "intact", 0));
+    for (size_t len = 0; len < good.size(); ++len) {
+      // An exact-size heap copy, so ASan sees any read past the end.
+      std::vector<uint8_t> cut(good.begin(), good.begin() + len);
+      EXPECT_FALSE(check(cut, "truncation", len));
+    }
+    std::vector<bool> must_reject = structural(v1, good.size());
+    for (size_t at = 0; at < good.size(); ++at) {
+      for (uint8_t mask : {0x01, 0x80, 0xFF}) {
+        auto flipped = good;
+        flipped[at] ^= mask;
+        bool accepted = check(flipped, "flip", at);
+        if (must_reject[at]) {
+          EXPECT_FALSE(accepted) << "flip " << int{mask} << " at " << at;
+        }
+      }
+    }
+  }
 }
 
 TEST(TraceIndexTest, ActivityTotalsMatchFullScan) {
@@ -288,7 +551,7 @@ TEST(TraceIndexTest, ActivityTotalsMatchFullScan) {
       ++sealed;
     }
   }
-  auto footer_totals = builder.index().ActivityTotals();
+  auto footer_totals = builder.Finish().ActivityTotals();
   auto scan_totals = TraceIndexBuilder::ScanActivityTotals(entries);
   ASSERT_EQ(footer_totals.size(), scan_totals.size());
   for (const auto& [act, row] : scan_totals) {
@@ -526,6 +789,50 @@ TEST(TraceReadPathTest, OriginAndActivityFiltersMatchFullScan) {
   ASSERT_TRUE(none.has_value());
   EXPECT_TRUE(none->empty());
   EXPECT_EQ(absent_stats.segments_read, 0u);
+
+  // Likewise a label the rollup never counted (generated ids stop at 13).
+  TraceQuery absent_label;
+  absent_label.activities = {MakeActivity(3, 14)};
+  ReadStats absent_label_stats;
+  auto no_label = reader.ReadFiltered(absent_label, 1, &absent_label_stats);
+  ASSERT_TRUE(no_label.has_value());
+  EXPECT_TRUE(no_label->empty());
+  EXPECT_EQ(absent_label_stats.segments_read, 0u);
+  std::remove(path.c_str());
+}
+
+TEST(TraceReadPathTest, ActivityQueryPrunesThroughLabelOrigins) {
+  // Three segments whose activity entries come from disjoint origins: a
+  // label query decodes only the segment holding its origin.
+  std::vector<LogEntry> entries;
+  uint32_t time = 1000;
+  for (node_id_t origin : {10u, 20u, 30u}) {
+    for (act_id_t id = 1; id <= 4; ++id) {
+      time += 50;
+      entries.push_back(ActEntry(time, time / 10, origin, id));
+    }
+  }
+  std::string path = ::testing::TempDir() + "/act_prune.qnto";
+  WriteSpill(path, entries, 4, true);
+  TraceFileReader reader(path);
+  ASSERT_TRUE(reader.has_index());
+  ASSERT_EQ(reader.index().segments.size(), 3u);
+
+  TraceQuery q;
+  q.activities = {MakeActivity(20, 3)};
+  ReadStats stats;
+  auto hits = reader.ReadFiltered(q, 2, &stats);
+  ASSERT_TRUE(hits.has_value());
+  ExpectSameEntries(*hits, FilterFullScan(entries, q));
+  EXPECT_EQ(hits->size(), 1u);
+  EXPECT_EQ(stats.segments_read, 1u);
+  EXPECT_EQ(stats.segments_skipped, 2u);
+
+  q.activities = {MakeActivity(10, 1), MakeActivity(30, 4)};
+  hits = reader.ReadFiltered(q, 2, &stats);
+  ASSERT_TRUE(hits.has_value());
+  ExpectSameEntries(*hits, FilterFullScan(entries, q));
+  EXPECT_EQ(stats.segments_read, 2u);
   std::remove(path.c_str());
 }
 
@@ -687,12 +994,27 @@ void CheckNetworkSpillReadPath(const std::string& path,
   ASSERT_TRUE(origin_hits.has_value());
   ExpectSameEntries(*origin_hits, FilterFullScan(reference, origins));
 
+  // Activity filter: the first and a middle label that carry entries.
+  auto scan = TraceIndexBuilder::ScanActivityTotals(reference);
+  std::vector<act_t> labels;
+  for (const auto& [act, row] : scan) {
+    if (row.entries > 0) {
+      labels.push_back(act);
+    }
+  }
+  ASSERT_GE(labels.size(), 2u);
+  TraceQuery acts;
+  acts.activities = {labels.front(), labels[labels.size() / 2]};
+  auto act_hits = reader.ReadFiltered(acts, 2);
+  ASSERT_TRUE(act_hits.has_value());
+  ExpectSameEntries(*act_hits, FilterFullScan(reference, acts));
+  EXPECT_FALSE(act_hits->empty());
+
   // Footer summary == full-scan totals.
   ReadStats summary_stats;
   auto totals = reader.ActivityTotals(&summary_stats);
   ASSERT_TRUE(totals.has_value());
   EXPECT_EQ(summary_stats.segments_read, 0u);
-  auto scan = TraceIndexBuilder::ScanActivityTotals(reference);
   ASSERT_EQ(totals->size(), scan.size());
   for (const auto& [act, row] : scan) {
     EXPECT_EQ((*totals)[act].entries, row.entries);

@@ -12,8 +12,9 @@
 // raw decoded entries. Reads go through TraceFileReader: indexed spill
 // files decode segment by segment (in parallel with --read-threads N,
 // byte-identical output at any N), filters prune to the segments the
-// index cannot rule out, --summary answers from the footers without
-// decoding any segment, and --index-stats dumps the footer directory.
+// index cannot rule out, --summary answers from the index's activity
+// rollup without decoding any segment, and --index-stats dumps the
+// footer directory and the rollup.
 // Unindexed files fall back to the linear scan everywhere.
 
 #include <cstdlib>
@@ -64,13 +65,14 @@ int IndexStats(const TraceFileReader& reader, const ActivityRegistry& registry) 
     return 0;
   }
   const TraceIndex& index = reader.index();
-  std::cout << "index: " << index.segments.size() << " segments, "
-            << index.total_entries << " entries, " << reader.data_bytes()
-            << " data bytes + "
+  std::cout << "index v" << index.version << ": " << index.segments.size()
+            << " segments, " << index.total_entries << " entries, "
+            << index.activities.size() << " rollup labels, "
+            << reader.data_bytes() << " data bytes + "
             << (reader.file_size() - reader.data_bytes()) << " index bytes\n";
   PrintSection(std::cout, "Segment directory");
   TextTable dir({"seg", "offset", "bytes", "entries", "ver", "time range",
-                 "origins", "acts"});
+                 "origins"});
   for (size_t i = 0; i < index.segments.size(); ++i) {
     const SegmentFooter& seg = index.segments[i];
     std::string times =
@@ -84,13 +86,12 @@ int IndexStats(const TraceFileReader& reader, const ActivityRegistry& registry) 
                   std::to_string(seg.origin_max);
     dir.AddRow({std::to_string(i), std::to_string(seg.offset),
                 std::to_string(seg.length), std::to_string(seg.entries),
-                std::to_string(seg.container_version), times, origins,
-                std::to_string(seg.activities.size())});
+                std::to_string(seg.container_version), times, origins});
   }
   dir.Print(std::cout);
-  PrintSection(std::cout, "Per-activity totals (from footers)");
+  PrintSection(std::cout, "Per-activity totals (from the rollup)");
   TextTable totals({"activity", "entries", "pulses", "E (mJ)"});
-  for (const auto& [act, row] : index.ActivityTotals()) {
+  for (const auto& [act, row] : index.activities) {
     totals.AddRow({registry.Name(act), std::to_string(row.entries),
                    std::to_string(row.pulses),
                    TextTable::Num(static_cast<double>(row.pulses) *
@@ -109,7 +110,7 @@ int Summary(const TraceFileReader& reader, const ActivityRegistry& registry) {
     return 1;
   }
   if (reader.has_index()) {
-    std::cout << "summary from footers: " << stats.segments_total
+    std::cout << "summary from the index rollup: " << stats.segments_total
               << " segments, 0 decoded\n";
   } else {
     std::cout << "summary from full scan (" << reader.index_note() << "): "
