@@ -273,12 +273,6 @@ std::optional<TraceIndex> ParseTraceIndex(const uint8_t* data, size_t size,
   return index;
 }
 
-TraceIndexBuilder::TraceIndexBuilder() {
-  // Sized for a few thousand motes' labels, so the emission consumer
-  // rarely rehashes while a large network streams in.
-  rollup_.reserve(1 << 14);
-}
-
 void TraceIndexBuilder::Add(const LogEntry& e) {
   uint64_t t64 = time_.Unwrap(e);
   if (cur_.count == 0) {
@@ -291,10 +285,7 @@ void TraceIndexBuilder::Add(const LogEntry& e) {
   if (has_icount_) {
     uint32_t delta = e.icount - last_icount_;
     if (delta != 0) {
-      if (cpu_row_ == nullptr) {
-        cpu_row_ = &rollup_[cpu_act_];
-      }
-      cpu_row_->pulses += delta;
+      rollup_[cpu_act_].pulses += delta;
     }
   }
   last_icount_ = e.icount;
@@ -302,8 +293,7 @@ void TraceIndexBuilder::Add(const LogEntry& e) {
   if (IsActivityEntry(e)) {
     // A copy: LogEntry is packed, and the lookup binds a reference.
     act_t label = e.payload;
-    ActivitySummary& row = rollup_[label];
-    row.entries += 1;
+    rollup_[label].entries += 1;
     node_id_t origin = ActivityOrigin(label);
     cur_.origin_filter |= uint64_t{1} << (origin % 64);
     if (origin != kBroadcastAddr) {
@@ -316,7 +306,6 @@ void TraceIndexBuilder::Add(const LogEntry& e) {
     }
     if (EntryType(e) == LogEntryType::kActivitySet && e.res_id == kSinkCpu) {
       cpu_act_ = label;
-      cpu_row_ = &row;
     }
   }
 }

@@ -150,11 +150,6 @@ uint64_t ProbeIndexTrailer(const uint8_t* tail, uint64_t file_size);
 // full-scan totals" is an identity, not a hope.
 class TraceIndexBuilder {
  public:
-  TraceIndexBuilder();
-  // Not copyable: cpu_row_ points into rollup_.
-  TraceIndexBuilder(const TraceIndexBuilder&) = delete;
-  TraceIndexBuilder& operator=(const TraceIndexBuilder&) = delete;
-
   void Add(const LogEntry& e);
 
   // Seals the current segment's footer. `version` is the container
@@ -190,9 +185,6 @@ class TraceIndexBuilder {
   StreamIngestState time_;
   std::unordered_map<act_t, ActivitySummary> rollup_;
   act_t cpu_act_ = 0;  // Label 0 ("0:Idle") until the first CPU set.
-  // rollup_[cpu_act_] once that row exists (node pointers stay valid
-  // across rehashing), so pulse attribution costs no lookup.
-  ActivitySummary* cpu_row_ = nullptr;
   uint32_t last_icount_ = 0;
   bool has_icount_ = false;
 };
