@@ -161,6 +161,8 @@ std::optional<TraceIndex> ParseTraceIndex(const uint8_t* data, size_t size,
   std::vector<std::pair<act_t, ActivitySummary>> segment_rows;
   uint64_t next_offset = 0;
   uint64_t entry_sum = 0;
+  // The previous non-empty segment's time_max64, once there is one.
+  std::optional<uint64_t> prev_max;
   for (uint32_t i = 0; i < segment_count; ++i) {
     if (records_end - at < kSegmentRecordBytes) {
       return std::nullopt;
@@ -213,6 +215,15 @@ std::optional<TraceIndex> ParseTraceIndex(const uint8_t* data, size_t size,
     if (row_entries > seg.entries ||
         (seg.entries > 0 && seg.time_min64 > seg.time_max64)) {
       return std::nullopt;
+    }
+    // Unwrapped time never decreases along the stream, so neither do the
+    // non-empty segments' ranges: time-range reads rely on it to treat a
+    // slice as one contiguous run.
+    if (seg.entries > 0) {
+      if (prev_max.has_value() && seg.time_min64 < *prev_max) {
+        return std::nullopt;
+      }
+      prev_max = seg.time_max64;
     }
     next_offset = seg.offset + seg.length;
     entry_sum += seg.entries;

@@ -123,7 +123,9 @@ std::vector<uint8_t> SerializeTraceIndex(const TraceIndex& index);
 // `size` bytes (trailer included). `data_bytes` is the byte length of the
 // segment region the index must describe: validation requires the footers
 // to tile [0, data_bytes) contiguously, each length to match its
-// header-derived size, and every count/total to be self-consistent.
+// header-derived size, every count/total to be self-consistent, and the
+// non-empty segments' time ranges to be monotone (no time_min64 below the
+// previous non-empty segment's time_max64).
 // Version-1 rows are folded into the file-wide rollup. Returns nullopt on
 // any violation — callers treat that as "no index" and fall back to a
 // linear scan, never as a broken file.

@@ -8,6 +8,7 @@
 #include <atomic>
 #include <cstring>
 #include <functional>
+#include <memory>
 #include <thread>
 
 #include "src/analysis/trace_io.h"
@@ -16,18 +17,37 @@ namespace quanto {
 
 namespace {
 
+// A buffer that grows to the largest request and never shrinks. `new T[n]`
+// default-initialises, so growing does not zero memory the caller is about
+// to overwrite.
+template <typename T>
+class GrowBuffer {
+ public:
+  T* Get(size_t n) {
+    if (n > size_) {
+      data_.reset(new T[n]);
+      size_ = n;
+    }
+    return data_.get();
+  }
+
+ private:
+  std::unique_ptr<T[]> data_;
+  size_t size_ = 0;
+};
+
 // Runs `fn(job, scratch)` for jobs [0, jobs) across `threads` workers,
-// each with its own reusable byte buffer. Jobs are claimed from a shared
+// each with its own reusable Scratch. Jobs are claimed from a shared
 // counter — which segment a worker decodes is scheduling-dependent, but
 // every job writes only its own precomputed output slot, so the assembled
 // result is not. Stops early (and returns false) once any job fails.
-bool RunSegmentJobs(
-    size_t threads, size_t jobs,
-    const std::function<bool(size_t, std::vector<uint8_t>*)>& fn) {
+template <typename Scratch>
+bool RunSegmentJobs(size_t threads, size_t jobs,
+                    const std::function<bool(size_t, Scratch*)>& fn) {
   std::atomic<size_t> next{0};
   std::atomic<bool> failed{false};
   auto worker = [&]() {
-    std::vector<uint8_t> scratch;
+    Scratch scratch;
     for (;;) {
       size_t job = next.fetch_add(1, std::memory_order_relaxed);
       if (job >= jobs || failed.load(std::memory_order_relaxed)) {
@@ -70,6 +90,41 @@ StreamIngestState SeedFromFooter(const SegmentFooter& footer) {
   state.prev = static_cast<uint32_t>(footer.time_min64);
   state.first = false;
   return state;
+}
+
+// Does a decoded segment agree with its footer's time range? A chain
+// seeded by SeedFromFooter unwraps the first entry to time_min64 exactly
+// when that entry's u32 time is time_min64's low word; `last` is the
+// chain's value at the last entry.
+bool FooterTimesHold(const SegmentFooter& footer, const LogEntry* entries,
+                     uint64_t last) {
+  return entries[0].time == static_cast<uint32_t>(footer.time_min64) &&
+         last == footer.time_max64;
+}
+
+// The entries of a decoded segment whose unwrapped time lies in [t0, t1].
+// The unwrap never decreases, so they are one run, [begin, end).
+struct SegmentRun {
+  size_t begin = 0;
+  size_t end = 0;
+};
+
+// Unwraps a decoded, non-empty segment from its footer seed, checks it
+// against the footer (FooterTimesHold) and finds its run in [t0, t1].
+bool CheckedRun(const SegmentFooter& footer, const LogEntry* entries,
+                uint64_t t0, uint64_t t1, SegmentRun* run) {
+  StreamIngestState chain = SeedFromFooter(footer);
+  size_t below = 0;  // Entries before t0.
+  size_t upto = 0;   // Entries at or before t1.
+  uint64_t t64 = 0;
+  for (uint32_t i = 0; i < footer.entries; ++i) {
+    t64 = chain.Unwrap(entries[i]);
+    below += t64 < t0;
+    upto += t64 <= t1;
+  }
+  run->begin = below;
+  run->end = upto;
+  return FooterTimesHold(footer, entries, t64);
 }
 
 // Exact entry-level filter (see TraceQuery); `origins` and `activities`
@@ -131,6 +186,12 @@ bool SegmentMayMatch(const TraceQuery& q,
 
 }  // namespace
 
+struct TraceFileReader::DecodeScratch {
+  GrowBuffer<uint8_t> bytes;     // One segment container, as read.
+  GrowBuffer<LogEntry> entries;  // Its entries, when they are not decoded
+                                 // straight into the output.
+};
+
 TraceFileReader::TraceFileReader(const std::string& path) {
   fd_ = ::open(path.c_str(), O_RDONLY);
   if (fd_ < 0) {
@@ -191,21 +252,19 @@ bool TraceFileReader::ReadAt(uint64_t offset, size_t size,
 }
 
 bool TraceFileReader::DecodeSegment(const SegmentFooter& footer,
-                                    std::vector<uint8_t>* scratch,
+                                    DecodeScratch* scratch,
                                     LogEntry* out) const {
-  scratch->resize(footer.length);
-  if (!ReadAt(footer.offset, footer.length, scratch->data())) {
+  uint8_t* bytes = scratch->bytes.Get(footer.length);
+  if (!ReadAt(footer.offset, footer.length, bytes)) {
     return false;
   }
-  uint16_t version;
-  uint32_t count;
-  if (!ParseTraceSegmentHeader(scratch->data(), scratch->size(), &version,
-                               &count) ||
+  uint16_t version = 0;
+  uint32_t count = 0;
+  if (!ParseTraceSegmentHeader(bytes, footer.length, &version, &count) ||
       version != footer.container_version || count != footer.entries) {
     return false;  // Segment contradicts its footer.
   }
-  DecodeTraceRecords(version, scratch->data() + kTraceContainerHeaderBytes,
-                     count, out);
+  DecodeTraceRecords(version, bytes + kTraceContainerHeaderBytes, count, out);
   return true;
 }
 
@@ -282,9 +341,9 @@ std::optional<std::vector<LogEntry>> TraceFileReader::ReadAll(
     prefix[i + 1] = prefix[i] + segs[i].entries;
   }
   std::vector<LogEntry> out(prefix.back());
-  bool decoded = RunSegmentJobs(
+  bool decoded = RunSegmentJobs<DecodeScratch>(
       ClampThreads(threads, segs.size()), segs.size(),
-      [&](size_t i, std::vector<uint8_t>* scratch) {
+      [&](size_t i, DecodeScratch* scratch) {
         return DecodeSegment(segs[i], scratch, out.data() + prefix[i]);
       });
   if (!decoded) {
@@ -335,6 +394,9 @@ std::optional<std::vector<LogEntry>> TraceFileReader::ReadFiltered(
     return selected;
   }
 
+  if (query.origins.empty() && query.activities.empty()) {
+    return ReadTimeSlice(query, threads, stats);
+  }
   // Only labels the rollup counts entries for can appear in a segment (a
   // row can exist purely for attributed pulses); the rest prune every
   // segment.
@@ -355,28 +417,34 @@ std::optional<std::vector<LogEntry>> TraceFileReader::ReadFiltered(
     }
   }
   std::vector<std::vector<LogEntry>> slots(candidates.size());
-  bool decoded = RunSegmentJobs(
+  bool decoded = RunSegmentJobs<DecodeScratch>(
       ClampThreads(threads, candidates.size()), candidates.size(),
-      [&](size_t j, std::vector<uint8_t>* scratch) {
+      [&](size_t j, DecodeScratch* scratch) {
         const SegmentFooter& footer = segs[candidates[j]];
-        std::vector<LogEntry> entries(footer.entries);
-        if (!DecodeSegment(footer, scratch, entries.data())) {
+        LogEntry* entries = scratch->entries.Get(footer.entries);
+        if (!DecodeSegment(footer, scratch, entries)) {
           return false;
         }
         StreamIngestState chain = SeedFromFooter(footer);
         std::vector<LogEntry>& kept = slots[j];
-        for (const LogEntry& e : entries) {
-          uint64_t t64 = chain.Unwrap(e);
-          if (EntryMatches(query, origins, activities, e, t64)) {
-            kept.push_back(e);
+        uint64_t t64 = 0;
+        for (uint32_t i = 0; i < footer.entries; ++i) {
+          t64 = chain.Unwrap(entries[i]);
+          if (EntryMatches(query, origins, activities, entries[i], t64)) {
+            kept.push_back(entries[i]);
           }
         }
-        return true;
+        return FooterTimesHold(footer, entries, t64);
       });
   if (!decoded) {
     return std::nullopt;
   }
+  size_t total = 0;
+  for (const std::vector<LogEntry>& kept : slots) {
+    total += kept.size();
+  }
   std::vector<LogEntry> selected;
+  selected.reserve(total);
   for (const std::vector<LogEntry>& kept : slots) {
     selected.insert(selected.end(), kept.begin(), kept.end());
   }
@@ -388,6 +456,99 @@ std::optional<std::vector<LogEntry>> TraceFileReader::ReadFiltered(
     stats->entries_selected = selected.size();
   }
   return selected;
+}
+
+std::optional<std::vector<LogEntry>> TraceFileReader::ReadTimeSlice(
+    const TraceQuery& query, size_t threads, ReadStats* stats) const {
+  const std::vector<SegmentFooter>& segs = index_.segments;
+  uint64_t t0 = query.time_min;
+  uint64_t t1 = query.time_max;
+  // The segments the range overlaps, in stream order (none when t0 > t1).
+  std::vector<size_t> candidates;
+  uint64_t candidate_entries = 0;
+  for (size_t i = 0; i < segs.size() && t0 <= t1; ++i) {
+    if (segs[i].OverlapsTime(t0, t1)) {
+      candidates.push_back(i);
+      candidate_entries += segs[i].entries;
+    }
+  }
+  // Footer times are monotone across non-empty segments (ParseTraceIndex),
+  // so a candidate with candidates on both sides lies wholly inside the
+  // range; only the first and last can straddle an end.
+  auto straddles = [&](size_t seg) {
+    return segs[seg].time_min64 < t0 || segs[seg].time_max64 > t1;
+  };
+  bool has_head = !candidates.empty() && straddles(candidates.front());
+  bool has_tail = candidates.size() > 1 && straddles(candidates.back());
+  struct Boundary {
+    size_t seg = 0;
+    std::unique_ptr<LogEntry[]> entries;  // Default-initialised.
+    SegmentRun run;
+  };
+  std::vector<Boundary> edges;  // The straddling ends, head first.
+  if (has_head) {
+    edges.push_back(Boundary{candidates.front(), nullptr, {}});
+  }
+  if (has_tail) {
+    edges.push_back(Boundary{candidates.back(), nullptr, {}});
+  }
+  size_t interior_begin = has_head ? 1 : 0;
+  size_t interior_end = candidates.size() - (has_tail ? 1 : 0);
+
+  // Phase 1: decode and trim the boundary segments.
+  bool decoded = RunSegmentJobs<DecodeScratch>(
+      ClampThreads(threads, edges.size()), edges.size(),
+      [&](size_t j, DecodeScratch* scratch) {
+        Boundary& b = edges[j];
+        const SegmentFooter& footer = segs[b.seg];
+        b.entries.reset(new LogEntry[footer.entries]);
+        return DecodeSegment(footer, scratch, b.entries.get()) &&
+               CheckedRun(footer, b.entries.get(), t0, t1, &b.run);
+      });
+  if (!decoded) {
+    return std::nullopt;
+  }
+
+  // Phase 2: size the output exactly; interior segments decode straight
+  // into their slots, then the boundary runs are copied into place.
+  auto copy_run = [](const Boundary& b, LogEntry* into) {
+    std::copy(b.entries.get() + b.run.begin, b.entries.get() + b.run.end,
+              into);
+  };
+  size_t head = has_head ? edges.front().run.end - edges.front().run.begin : 0;
+  size_t tail = has_tail ? edges.back().run.end - edges.back().run.begin : 0;
+  size_t interior = interior_end - interior_begin;
+  std::vector<uint64_t> slot(interior + 1, head);
+  for (size_t k = 0; k < interior; ++k) {
+    slot[k + 1] = slot[k] + segs[candidates[interior_begin + k]].entries;
+  }
+  std::vector<LogEntry> out(slot.back() + tail);
+  decoded = RunSegmentJobs<DecodeScratch>(
+      ClampThreads(threads, interior), interior,
+      [&](size_t k, DecodeScratch* scratch) {
+        const SegmentFooter& footer = segs[candidates[interior_begin + k]];
+        LogEntry* into = out.data() + slot[k];
+        SegmentRun run;  // All of it: the footer verified puts it inside.
+        return DecodeSegment(footer, scratch, into) &&
+               CheckedRun(footer, into, t0, t1, &run);
+      });
+  if (!decoded) {
+    return std::nullopt;
+  }
+  if (has_head) {
+    copy_run(edges.front(), out.data());
+  }
+  if (has_tail) {
+    copy_run(edges.back(), out.data() + slot.back());
+  }
+  if (stats != nullptr) {
+    stats->segments_total = segs.size();
+    stats->segments_read = candidates.size();
+    stats->segments_skipped = segs.size() - candidates.size();
+    stats->entries_decoded = candidate_entries;
+    stats->entries_selected = out.size();
+  }
+  return out;
 }
 
 std::optional<std::map<act_t, ActivitySummary>> TraceFileReader::ActivityTotals(

@@ -1,5 +1,5 @@
 // Indexed, parallel, bounded-memory reads of spill files — the query
-// front half of the trace store (ROADMAP open item 4).
+// side of the trace store.
 //
 // TraceFileReader opens a spill file once, probes and validates the
 // trailing segment index (src/analysis/trace_index.h) and then serves
@@ -16,10 +16,21 @@
 //  * ReadFiltered — a TraceQuery (time range / activity origins /
 //    activity labels). The index prunes to intersecting segments
 //    (segments_read / segments_skipped counters prove it; activity labels
-//    prune through their origins); an exact
-//    entry-level filter then runs on every decoded segment, so the result
-//    equals filter(ReadAll) exactly — the index only ever skips segments
-//    it can prove are disjoint from the query.
+//    prune through their origins); the result equals filter(ReadAll)
+//    exactly — the index only ever skips segments it can prove are
+//    disjoint from the query.
+//    A time-only query takes a fast path built on the contiguous-slice
+//    invariant: unwrapped time never decreases along the stream (the
+//    StreamIngestState unwrap is monotone and segments are cut in stream
+//    order, which ParseTraceIndex enforces on the footers), so a time
+//    range selects one contiguous run of entries. Of the segments it
+//    overlaps, only the first and last can straddle a range end; every
+//    segment between lies wholly inside. The reader decodes and trims
+//    those at most two boundary segments first, sizes the output exactly,
+//    then decodes every interior segment straight into its slot (as
+//    ReadAll does) and copies the trimmed boundary runs into place.
+//    Origin and activity filters run an exact entry-level filter over
+//    every decoded segment instead.
 //  * ActivityTotals — per-activity entry/pulse totals answered from the
 //    index's file-wide rollup on indexed files (zero segments decoded).
 // Unindexed files (and files whose index is damaged) fall back to the
@@ -30,6 +41,11 @@
 // stream, and a parallel worker seeds its chain from the segment footer's
 // time_min64 — the complete unwrap state at the segment's first entry —
 // which is why filtered and parallel reads agree with the linear ones.
+// Because the time fast path trusts footers for inclusion, not only for
+// pruning, every segment a filtered read decodes is verified: its first
+// and last unwrapped times must equal the footer's time_min64/time_max64,
+// or the read returns nullopt. A lying footer fails the read; it never
+// silently widens or narrows the slice.
 #ifndef QUANTO_SRC_ANALYSIS_TRACE_READER_H_
 #define QUANTO_SRC_ANALYSIS_TRACE_READER_H_
 
@@ -104,7 +120,9 @@ class TraceFileReader {
 
   // Decodes only the segments intersecting `query` (all of them on
   // unindexed files) and applies the exact entry-level filter. The result
-  // equals filtering ReadAll's stream entry for entry.
+  // equals filtering ReadAll's stream entry for entry. Returns nullopt on
+  // I/O error or a decoded segment that contradicts its footer (container
+  // header, or first/last unwrapped time).
   std::optional<std::vector<LogEntry>> ReadFiltered(
       const TraceQuery& query, size_t threads = 1,
       ReadStats* stats = nullptr) const;
@@ -117,12 +135,20 @@ class TraceFileReader {
       ReadStats* stats = nullptr) const;
 
  private:
+  // One reader worker's reusable buffers (defined in trace_reader.cc).
+  struct DecodeScratch;
+
   bool ReadAt(uint64_t offset, size_t size, uint8_t* out) const;
   // Reads and decodes one segment into out[0..footer.entries), verifying
-  // the container header against the footer. `scratch` is the caller's
-  // reusable byte buffer.
-  bool DecodeSegment(const SegmentFooter& footer,
-                     std::vector<uint8_t>* scratch, LogEntry* out) const;
+  // the container header against the footer. The raw bytes go through
+  // `scratch`.
+  bool DecodeSegment(const SegmentFooter& footer, DecodeScratch* scratch,
+                     LogEntry* out) const;
+  // The time-only ReadFiltered on an indexed file (the contiguous-slice
+  // fast path described above).
+  std::optional<std::vector<LogEntry>> ReadTimeSlice(const TraceQuery& query,
+                                                     size_t threads,
+                                                     ReadStats* stats) const;
   // Whole-data-region linear parse (the unindexed fallback), tolerating a
   // damaged trailing index exactly as DeserializeTrace does. Counts the
   // segments it walks.

@@ -178,11 +178,13 @@ std::vector<uint8_t> SerializeV1Block(const TraceIndex& index,
 }
 
 // What every block the parser accepts must satisfy, however it was
-// damaged: footers tile [0, data_bytes), entry counts add up, and the
-// rollup is one ascending row per label counting a subset of the entries.
+// damaged: footers tile [0, data_bytes), entry counts add up, non-empty
+// segments' time ranges never go back, and the rollup is one ascending
+// row per label counting a subset of the entries.
 void ExpectSelfConsistent(const TraceIndex& index, uint64_t data_bytes) {
   uint64_t next = 0;
   uint64_t entries = 0;
+  uint64_t prev_max = 0;  // Of the previous non-empty segment.
   for (const SegmentFooter& seg : index.segments) {
     EXPECT_EQ(seg.offset, next);
     uint64_t record_bytes = TraceContainerEntryBytes(seg.container_version);
@@ -190,6 +192,8 @@ void ExpectSelfConsistent(const TraceIndex& index, uint64_t data_bytes) {
               kTraceContainerHeaderBytes + seg.entries * record_bytes);
     if (seg.entries > 0) {
       EXPECT_LE(seg.time_min64, seg.time_max64);
+      EXPECT_GE(seg.time_min64, prev_max);
+      prev_max = seg.time_max64;
     }
     next += seg.length;
     entries += seg.entries;
@@ -477,6 +481,46 @@ TEST(TraceIndexTest, ParseRejectsCorruptBlocks) {
                       1));
 }
 
+TEST(TraceIndexTest, ParseRejectsSegmentTimesGoingBack) {
+  // Three segments, the middle one empty (its zero times are no range).
+  // Non-empty segments may share a boundary time but never go back, in a
+  // v1 or a v2 block.
+  auto build = [](uint64_t third_min) {
+    TraceIndex index;
+    uint64_t offset = 0;
+    auto add = [&](uint32_t entries, uint64_t t0, uint64_t t1) {
+      SegmentFooter seg;
+      seg.offset = offset;
+      seg.length = kTraceContainerHeaderBytes + entries * 16;
+      seg.entries = entries;
+      seg.container_version = 3;
+      seg.time_min64 = t0;
+      seg.time_max64 = t1;
+      offset += seg.length;
+      index.total_entries += entries;
+      index.segments.push_back(seg);
+    };
+    add(4, 100, (uint64_t{1} << 32) | 200);
+    add(0, 0, 0);
+    add(4, third_min, (uint64_t{1} << 32) | 900);
+    return std::make_pair(index, offset);
+  };
+  for (bool v1 : {true, false}) {
+    SCOPED_TRACE(v1 ? "v1" : "v2");
+    auto parses = [&](uint64_t third_min) {
+      auto [index, data_bytes] = build(third_min);
+      auto blob = v1 ? SerializeV1Block(index, std::vector<ActivityRows>(3))
+                     : SerializeTraceIndex(index);
+      return ParseTraceIndex(blob.data(), blob.size(), data_bytes)
+          .has_value();
+    };
+    EXPECT_TRUE(parses((uint64_t{1} << 32) | 300));
+    EXPECT_TRUE(parses((uint64_t{1} << 32) | 200));  // A shared time.
+    EXPECT_FALSE(parses((uint64_t{1} << 32) | 199));
+    EXPECT_FALSE(parses(300));  // The low word alone is not the time.
+  }
+}
+
 TEST(TraceIndexTest, ParseSurvivesEveryTruncationAndByteFlip) {
   // Deterministic mutation sweep over a small v1 and v2 block: every
   // truncation length and every single-byte flip either rejects or
@@ -743,6 +787,195 @@ TEST(TraceReadPathTest, TimeRangeQuerySkipsAndMatchesFullScan) {
         << "10% time slice decoded more than 25% of segments";
     EXPECT_GT(stats.entries_selected, 0u);
   }
+  std::remove(path.c_str());
+}
+
+// A stream laid out around 64-entry segments: unwrapped times step by
+// 1000 except for a jump over a 32-bit wrap inside segment 2 and another
+// exactly at the cut between segments 4 and 5, and a time shared by the
+// last entry of segment 6 and the first of segment 7.
+std::vector<LogEntry> WrappingStream() {
+  constexpr uint64_t kWrap = uint64_t{1} << 32;
+  std::vector<LogEntry> entries;
+  uint64_t t64 = 1000;
+  for (size_t i = 0; i < 640; ++i) {
+    if (i == 2 * 64 + 30) {
+      t64 = kWrap + 5;
+    } else if (i == 5 * 64) {
+      t64 = 2 * kWrap + 7;
+    } else if (i != 7 * 64 && i > 0) {
+      t64 += 1000;
+    }
+    uint32_t time = static_cast<uint32_t>(t64);
+    uint32_t icount = static_cast<uint32_t>(3 * i);
+    if (i % 5 == 2) {
+      entries.push_back(PowerEntry(time, icount, i % 2));
+    } else {
+      entries.push_back(ActEntry(time, icount,
+                                 static_cast<node_id_t>(1 + i % 9),
+                                 static_cast<act_id_t>(1 + i % 4)));
+    }
+  }
+  return entries;
+}
+
+std::vector<uint64_t> UnwrappedTimes(const std::vector<LogEntry>& entries) {
+  StreamIngestState chain;
+  std::vector<uint64_t> times;
+  for (const LogEntry& e : entries) {
+    times.push_back(chain.Unwrap(e));
+  }
+  return times;
+}
+
+TEST(TraceReadPathTest, TimeSliceEdgesMatchFullScan) {
+  auto entries = WrappingStream();
+  auto times = UnwrappedTimes(entries);
+  ASSERT_EQ(times[2 * 64 + 30] >> 32, 1u);  // The wrap inside segment 2.
+  ASSERT_EQ(times[5 * 64 - 1] >> 32, 1u);   // The wrap at the 4|5 cut.
+  ASSERT_EQ(times[5 * 64] >> 32, 2u);
+  ASSERT_EQ(times[7 * 64 - 1], times[7 * 64]);  // Shared across 6|7.
+  constexpr uint64_t kMax = ~uint64_t{0};
+
+  for (size_t segment_entries : {64u, 1u}) {
+    SCOPED_TRACE("segment_entries " + std::to_string(segment_entries));
+    std::string path = ::testing::TempDir() + "/slice_edges.qnto";
+    WriteSpill(path, entries, segment_entries, true);
+    TraceFileReader reader(path);
+    ASSERT_TRUE(reader.has_index());
+    const std::vector<SegmentFooter>& segs = reader.index().segments;
+    ASSERT_EQ(segs.size(), entries.size() / segment_entries);
+
+    std::vector<std::pair<uint64_t, uint64_t>> ranges = {
+        {0, times.front() - 1},         // Before the first entry.
+        {times.back() + 1, kMax},       // After the last.
+        {times[10] + 1, times[11] - 1}, // Between two adjacent entries.
+        {times[20], times[10]},         // Inverted.
+        {0, kMax},                      // The whole file.
+        {times.front(), times.back()},
+        {times[2 * 64 + 29], times[2 * 64 + 30]},  // Across each wrap.
+        {times[5 * 64 - 1], times[5 * 64]},
+        {times[2 * 64], times[6 * 64 - 1]},
+        {times[7 * 64], times[7 * 64]},  // The shared time alone.
+    };
+    // Ends exactly on footer times: segments 1, 4, 5 and 6 of the 64-entry
+    // layout, and their one-entry counterparts.
+    for (size_t s : {1u, 4u, 5u, 6u}) {
+      const SegmentFooter& seg = segs[s * 64 / segment_entries];
+      const SegmentFooter& last =
+          segs[((s + 1) * 64 - 1) / segment_entries];
+      const SegmentFooter& next = segs[(s + 1) * 64 / segment_entries];
+      const SegmentFooter& after = segs[(s + 3) * 64 / segment_entries];
+      ranges.push_back({seg.time_min64, last.time_max64});
+      ranges.push_back({seg.time_min64, seg.time_min64});
+      ranges.push_back({last.time_max64, last.time_max64});
+      ranges.push_back({last.time_max64, next.time_min64});
+      ranges.push_back({seg.time_min64, after.time_max64});
+      ranges.push_back({seg.time_min64 + 1, last.time_max64 - 1});
+      ranges.push_back({seg.time_min64 - 1, next.time_min64 + 1});
+    }
+    for (const auto& [t0, t1] : ranges) {
+      TraceQuery q;
+      q.has_time_range = true;
+      q.time_min = t0;
+      q.time_max = t1;
+      auto want = FilterFullScan(entries, q);
+      for (size_t threads : {1u, 2u, 4u}) {
+        SCOPED_TRACE("[" + std::to_string(t0) + ", " + std::to_string(t1) +
+                     "] at " + std::to_string(threads) + " threads");
+        ReadStats stats;
+        auto got = reader.ReadFiltered(q, threads, &stats);
+        ASSERT_TRUE(got.has_value());
+        ExpectSameEntries(*got, want);
+        EXPECT_EQ(stats.segments_read + stats.segments_skipped, segs.size());
+        EXPECT_EQ(stats.entries_selected, want.size());
+      }
+    }
+    std::remove(path.c_str());
+  }
+}
+
+TEST(TraceReadPathTest, LyingFooterTimesFailTheRead) {
+  // A footer moved so that a boundary segment looks interior (or an
+  // interior one claims the wrong end) parses — the index has no checksum
+  // and the lie keeps the times monotone — but the read must fail rather
+  // than return a wider or narrower slice.
+  auto entries = SyntheticStream(5000);
+  std::string path = ::testing::TempDir() + "/lying_footer.qnto";
+  WriteSpill(path, entries, 256, true);
+  const auto bytes = Slurp(path);
+  TraceIndex index;
+  {
+    TraceFileReader reader(path);
+    ASSERT_TRUE(reader.has_index());
+    index = reader.index();
+  }
+  const std::vector<SegmentFooter>& segs = index.segments;
+  ASSERT_GE(segs.size(), 12u);
+  size_t block_start = bytes.size() - SerializeTraceIndex(index).size();
+  // A range from inside segment 4 to inside segment 8.
+  TraceQuery q;
+  q.has_time_range = true;
+  q.time_min = segs[4].time_min64 + 100;
+  q.time_max = segs[8].time_max64 - 100;
+  TraceQuery q_origins = q;
+  q_origins.origins = {3, 150};
+
+  // Rewrites footer fields (byte offset in the record -> value), then
+  // reads.
+  auto read_lying = [&](size_t seg,
+                        std::vector<std::pair<size_t, uint64_t>> fields,
+                        const TraceQuery& query) {
+    auto lie = bytes;
+    for (const auto& [field_at, value] : fields) {
+      size_t at = block_start + kIndexHeaderBytes +
+                  seg * kSegmentRecordBytes + field_at;
+      for (int i = 0; i < 8; ++i) {
+        lie[at + i] = static_cast<uint8_t>(value >> (8 * i));
+      }
+    }
+    std::ofstream(path, std::ios::binary | std::ios::trunc)
+        .write(reinterpret_cast<const char*>(lie.data()), lie.size());
+    TraceFileReader reader(path);
+    EXPECT_TRUE(reader.has_index()) << "the lie must parse";
+    return reader.ReadFiltered(query, 2);
+  };
+  constexpr size_t kMinAt = 24;
+  constexpr size_t kMaxAt = 32;
+  auto read_with = [&](size_t seg, size_t field_at, uint64_t value,
+                       const TraceQuery& query) {
+    return read_lying(seg, {{field_at, value}}, query);
+  };
+  // The honest file reads.
+  ASSERT_TRUE(read_with(4, kMinAt, segs[4].time_min64, q).has_value());
+  // The tail boundary claims to end at the range's end; the head boundary
+  // claims to start at the range's start; an interior segment claims to
+  // end before its last entry.
+  for (const TraceQuery* query : {&q, &q_origins}) {
+    SCOPED_TRACE(query == &q ? "time only" : "time and origins");
+    EXPECT_FALSE(read_with(8, kMaxAt, q.time_max, *query).has_value());
+    EXPECT_FALSE(read_with(4, kMinAt, q.time_min, *query).has_value());
+    EXPECT_FALSE(
+        read_with(6, kMaxAt, segs[6].time_max64 - 1, *query).has_value());
+  }
+  // The last segment moved 2^32 later, its claimed start one tick below
+  // the real one's low word: a chain seeded from that footer unwraps the
+  // segment to exactly the claimed end, so only the first entry's time
+  // gives the lie away. A query over the claimed range must not return
+  // the segment's entries.
+  const SegmentFooter& last = segs.back();
+  uint64_t shifted_min = last.time_min64 + (uint64_t{1} << 32) - 1;
+  uint64_t shifted_max = last.time_max64 + (uint64_t{1} << 32);
+  ASSERT_NE(static_cast<uint32_t>(last.time_min64), 0u);
+  TraceQuery beyond;
+  beyond.has_time_range = true;
+  beyond.time_min = shifted_min;
+  beyond.time_max = shifted_max;
+  EXPECT_TRUE(FilterFullScan(entries, beyond).empty());
+  EXPECT_FALSE(read_lying(segs.size() - 1,
+                          {{kMinAt, shifted_min}, {kMaxAt, shifted_max}},
+                          beyond)
+                   .has_value());
   std::remove(path.c_str());
 }
 

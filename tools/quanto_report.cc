@@ -7,6 +7,10 @@
 //                 [--time-range T0:T1] [--nodes A,B,...]
 //                 [--activity L,...] [--summary] [--index-stats]
 //
+// A malformed command line (unknown flag, missing or non-numeric value,
+// T0 > T1, --read-threads outside 1..64) prints the usage and exits 2;
+// the rules live in src/analysis/report_args.h.
+//
 // Prints the Section 2.5 regression (per-state draws + collinearity
 // notes), the Table 3-style time and energy breakdowns, and optionally the
 // raw decoded entries. Reads go through TraceFileReader: indexed spill
@@ -17,13 +21,12 @@
 // footer directory and the rollup.
 // Unindexed files fall back to the linear scan everywhere.
 
-#include <cstdlib>
-#include <cstring>
 #include <iostream>
 #include <string>
 #include <vector>
 
 #include "src/analysis/accounting.h"
+#include "src/analysis/report_args.h"
 #include "src/analysis/streaming.h"
 #include "src/analysis/trace.h"
 #include "src/analysis/trace_io.h"
@@ -36,20 +39,6 @@ namespace {
 // Matches StreamingPipeline::Options — the summary's footer-derived
 // energy uses the same per-pulse calibration as the full regression path.
 constexpr double kEnergyPerPulse = 8.33;
-
-std::vector<uint64_t> ParseU64List(const char* arg) {
-  std::vector<uint64_t> values;
-  const char* p = arg;
-  while (*p != '\0') {
-    char* end = nullptr;
-    values.push_back(std::strtoull(p, &end, 10));
-    if (end == p) {
-      break;
-    }
-    p = *end == ',' ? end + 1 : end;
-  }
-  return values;
-}
 
 void PrintSegmentsLine(const ReadStats& stats) {
   std::cout << "segments: " << stats.segments_total << " total, "
@@ -130,51 +119,15 @@ int Summary(const TraceFileReader& reader, const ActivityRegistry& registry) {
 }
 
 int Run(int argc, char** argv) {
-  if (argc < 2) {
-    std::cerr << "usage: quanto_report <trace.qnto> [--node N] [--dump]"
-                 " [--read-threads T] [--time-range T0:T1] [--nodes A,B,...]"
-                 " [--activity L,...] [--summary] [--index-stats]\n";
+  std::string error;
+  std::optional<ReportArgs> args = ParseReportArgs(argc, argv, &error);
+  if (!args.has_value()) {
+    std::cerr << "quanto_report: " << error << "\n" << ReportUsage();
     return 2;
   }
-  std::string path = argv[1];
-  node_id_t node = 1;
-  bool dump = false;
-  bool summary = false;
-  bool index_stats = false;
-  size_t read_threads = 1;
-  TraceQuery query;
-  for (int i = 2; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--node") == 0 && i + 1 < argc) {
-      node = static_cast<node_id_t>(std::atoi(argv[++i]));
-    } else if (std::strcmp(argv[i], "--dump") == 0) {
-      dump = true;
-    } else if (std::strcmp(argv[i], "--summary") == 0) {
-      summary = true;
-    } else if (std::strcmp(argv[i], "--index-stats") == 0) {
-      index_stats = true;
-    } else if (std::strcmp(argv[i], "--read-threads") == 0 && i + 1 < argc) {
-      read_threads = static_cast<size_t>(std::atoi(argv[++i]));
-    } else if (std::strcmp(argv[i], "--time-range") == 0 && i + 1 < argc) {
-      const char* spec = argv[++i];
-      const char* colon = std::strchr(spec, ':');
-      if (colon == nullptr) {
-        std::cerr << "--time-range wants T0:T1 (unwrapped ticks)\n";
-        return 2;
-      }
-      query.has_time_range = true;
-      query.time_min = std::strtoull(spec, nullptr, 10);
-      query.time_max = std::strtoull(colon + 1, nullptr, 10);
-    } else if (std::strcmp(argv[i], "--nodes") == 0 && i + 1 < argc) {
-      for (uint64_t v : ParseU64List(argv[++i])) {
-        query.origins.push_back(static_cast<node_id_t>(v));
-      }
-    } else if (std::strcmp(argv[i], "--activity") == 0 && i + 1 < argc) {
-      for (uint64_t v : ParseU64List(argv[++i])) {
-        query.activities.push_back(static_cast<act_t>(v));
-      }
-    }
-  }
-
+  const std::string& path = args->path;
+  const TraceQuery& query = args->query;
+  size_t read_threads = args->read_threads;
   TraceFileReader reader(path);
   if (!reader.ok()) {
     std::cerr << "cannot read trace from " << path
@@ -182,10 +135,10 @@ int Run(int argc, char** argv) {
     return 1;
   }
   ActivityRegistry registry;
-  if (index_stats) {
+  if (args->index_stats) {
     return IndexStats(reader, registry);
   }
-  if (summary) {
+  if (args->summary) {
     return Summary(reader, registry);
   }
 
@@ -201,7 +154,7 @@ int Run(int argc, char** argv) {
   if (!query.Unfiltered()) {
     PrintSegmentsLine(stats);
   }
-  if (dump) {
+  if (args->dump) {
     std::cout << DumpTraceText(*trace, registry);
   }
 
@@ -248,7 +201,7 @@ int Run(int argc, char** argv) {
   opts.constant_power = fit.coefficients[columns.size() - 1];
   ActivityAccountant accountant(PowerFromColumns(columns, fit.coefficients),
                                 opts);
-  auto accounts = accountant.Run(events, node);
+  auto accounts = accountant.Run(events, args->node);
 
   PrintSection(std::cout, "Energy by activity");
   TextTable energy({"activity", "E (mJ)"});
